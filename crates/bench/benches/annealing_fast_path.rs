@@ -1,16 +1,16 @@
-//! Benches for the incremental annealing fast path (lazy per-device tables + O(1)
-//! delta energy updates), one group:
+//! Benches for the incremental annealing fast path (per-device prediction tables +
+//! O(1) delta energy updates), one group:
 //!
 //! * `annealing_fast_path` — SAML walks on the paper's Table-I space and on the
 //!   2-accelerator bench space, three ways each: the classic walk (full
 //!   re-evaluation of the direct prediction models on every proposal), the
-//!   incremental walk over *eagerly* built tables (the enumeration-style build that
-//!   only pays off on huge budgets), and the incremental walk over *lazy*
-//!   fill-on-first-touch tables (`run_delta` + `LazyTabulatedPredictionEvaluator` —
-//!   the path `MethodRunner` wires for SAML).
+//!   incremental walk over tables *prefilled* for the space (the enumeration-style
+//!   build that only pays off on huge budgets), and the incremental walk over tables
+//!   started *empty* that fill on first touch (`run_delta` +
+//!   `PredictionEvaluator::lazy_tabulated` — the path `MethodRunner` wires for SAML).
 //!
 //! The printed summary doubles as the acceptance evidence: model invocations per
-//! accepted move, the ≥ 5× lazy-vs-direct reduction (asserted), and the bit-identity
+//! accepted move, the ≥ 5× empty-vs-direct reduction (asserted), and the bit-identity
 //! of all three trajectories.  The measurement logic is shared with the
 //! `repro bench-annealing` artifact (`wd_bench::measure_annealing_fast_path`), so
 //! the criterion trajectory and the CI JSON always describe the same experiment.
@@ -38,18 +38,18 @@ fn print_summary(label: &str, m: &wd_bench::AnnealingMeasurement) {
         m.queries_per_accepted_direct()
     );
     println!(
-        "  eager tables: build + delta walk  {:>12.2?}  ({} model invocations, all up front)",
+        "  prefilled tables: fill + walk     {:>12.2?}  ({} model invocations, all up front)",
         m.eager_total(),
         m.model_queries_eager
     );
     println!(
-        "  lazy tables: delta walk           {:>12.2?}  ({} model invocations, {:.2}/accepted move)",
+        "  empty tables: delta walk          {:>12.2?}  ({} model invocations, {:.2}/accepted move)",
         m.lazy,
         m.model_queries_lazy,
         m.queries_per_accepted_lazy()
     );
     println!(
-        "  {:.1}x fewer model invocations per accepted move (lazy vs direct), trajectories identical: {}",
+        "  {:.1}x fewer model invocations per accepted move (empty vs direct), trajectories identical: {}",
         m.query_reduction(),
         m.identical_trajectories
     );
@@ -79,8 +79,8 @@ fn bench_annealing_fast_path(c: &mut Criterion) {
         measure_annealing_fast_path(&models, Genome::Human.workload(), &table1, ITERATIONS, SEED);
     print_summary("Table-I space", &m1);
     // Table-I's 1 %-granularity split axis makes the walk visit ~1000 distinct
-    // triples, so the query reduction is real but smaller (and eager tabulation is
-    // an outright loss — 4 800 up-front queries); only the trajectory identity is
+    // triples, so the query reduction is real but smaller (and prefilling the
+    // tables is an outright loss — 4 800 up-front queries); only the trajectory identity is
     // asserted here.  The ≥ 5× acceptance bar applies to the 2-accel space above.
     assert!(
         m1.identical_trajectories,
@@ -88,7 +88,7 @@ fn bench_annealing_fast_path(c: &mut Criterion) {
     );
     assert!(
         m1.model_queries_lazy < m1.model_queries_direct,
-        "lazy SAML must not walk the models more often than the direct path"
+        "SAML over empty tables must not walk the models more often than the direct path"
     );
 
     let sa = SimulatedAnnealing::with_budget_and_range(ITERATIONS, 2.0, 0.02, SEED);
@@ -100,14 +100,14 @@ fn bench_annealing_fast_path(c: &mut Criterion) {
         let prediction = models.prediction_evaluator(workload.clone());
         b.iter(|| sa.run(&table1, &prediction));
     });
-    group.bench_function("table1_saml_eager_tabulated", |b| {
+    group.bench_function("table1_saml_prefilled_delta", |b| {
         let prediction = models.prediction_evaluator(workload.clone());
         b.iter(|| {
             let tables = prediction.tabulated(&table1);
             sa.run_delta(&table1, &tables)
         });
     });
-    group.bench_function("table1_saml_lazy_delta", |b| {
+    group.bench_function("table1_saml_empty_delta", |b| {
         let prediction = models.prediction_evaluator(workload.clone());
         b.iter(|| {
             let tables = prediction.lazy_tabulated();
@@ -118,14 +118,14 @@ fn bench_annealing_fast_path(c: &mut Criterion) {
         let prediction = gpu_models.prediction_evaluator(workload.clone());
         b.iter(|| sa.run(&two_accel, &prediction));
     });
-    group.bench_function("two_accel_saml_eager_tabulated", |b| {
+    group.bench_function("two_accel_saml_prefilled_delta", |b| {
         let prediction = gpu_models.prediction_evaluator(workload.clone());
         b.iter(|| {
             let tables = prediction.tabulated(&two_accel);
             sa.run_delta(&two_accel, &tables)
         });
     });
-    group.bench_function("two_accel_saml_lazy_delta", |b| {
+    group.bench_function("two_accel_saml_empty_delta", |b| {
         let prediction = gpu_models.prediction_evaluator(workload.clone());
         b.iter(|| {
             let tables = prediction.lazy_tabulated();

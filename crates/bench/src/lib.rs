@@ -272,10 +272,15 @@ pub fn measure_fast_path(
     let start = Instant::now();
     let tabulated = counted.tabulated(grid);
     let t_build = start.elapsed();
+    let build_queries = tabulated.model_queries();
     let start = Instant::now();
     let fast = ParallelEnumeration::new().run_indexed(grid, &tabulated);
     let t_scan = start.elapsed();
-    assert_eq!(tabulated.fallback_queries(), 0);
+    assert_eq!(
+        tabulated.model_queries(),
+        build_queries,
+        "a scan of the prefilled grid walks no model"
+    );
 
     FastPathMeasurement {
         grid_configs,
@@ -390,13 +395,14 @@ pub fn measure_annealing_fast_path(
     let start = Instant::now();
     let eager_tables = eager_counted.tabulated(space);
     let t_build = start.elapsed();
+    let build_queries = eager_tables.model_queries();
     let start = Instant::now();
     let eager = sa.run_delta(space, &eager_tables);
     let t_eager_walk = start.elapsed();
     assert_eq!(
-        eager_tables.fallback_queries(),
-        0,
-        "the walk stays in-space"
+        eager_tables.model_queries(),
+        build_queries,
+        "the walk stays in the prefilled space"
     );
 
     let (lazy_counted, lazy_calls) = counting_prediction_evaluator(models, workload);

@@ -9,7 +9,7 @@
 //! execution, the refinement also corrects residual errors of the prediction model.
 
 use crate::config::SystemConfiguration;
-use crate::evaluator::{LazyTabulatedPredictionEvaluator, MeasurementEvaluator};
+use crate::evaluator::{MeasurementEvaluator, TabulatedPredictionEvaluator};
 
 /// One refinement step.
 #[derive(Debug, Clone, PartialEq)]
@@ -85,15 +85,16 @@ impl AdaptiveRefinement {
         self.refine_with(|config| evaluator.evaluate_times(config), start)
     }
 
-    /// Refine `start` against the prediction models through the lazy factorized
-    /// tables: every step's `(T_host, T_device)` comes from memoized per-device
-    /// entries, so repeated refinements (e.g. one per SAML suggestion, or a sweep of
-    /// starting points) share the walk's table fills instead of re-walking the
-    /// boosted trees — bit-identical to refining over
+    /// Refine `start` against the prediction models through the factorized tables
+    /// (typically [`crate::PredictionEvaluator::lazy_tabulated`]): every step's
+    /// `(T_host, T_device)` comes from memoized per-device entries, so repeated
+    /// refinements (e.g. one per SAML suggestion, or a sweep of starting points)
+    /// share the walk's table fills instead of re-walking the boosted trees —
+    /// bit-identical to refining over
     /// [`crate::PredictionEvaluator::evaluate_times`] directly.
     pub fn refine_predicted(
         &self,
-        evaluator: &LazyTabulatedPredictionEvaluator<'_>,
+        evaluator: &TabulatedPredictionEvaluator<'_>,
         start: SystemConfiguration,
     ) -> RefinementOutcome {
         self.refine_with(|config| evaluator.evaluate_times(config), start)

@@ -3,22 +3,26 @@
 //!
 //! An evaluator binds a platform (or trained models) to one workload and scores
 //! [`SystemConfiguration`]s; the optimization energy is `max(T_host, T_device)` (the
-//! paper's Eq. 2).  Two evaluators are provided, matching the paper's two evaluation
+//! paper's Eq. 2).  Three evaluators are provided, matching the paper's two evaluation
 //! modes:
 //!
 //! * [`MeasurementEvaluator`] — "runs" the configuration on the simulated platform
 //!   (stands in for executing the real application on the Emil machine);
 //! * [`PredictionEvaluator`] — queries the trained host/device regression models, the
-//!   fast evaluation mode that makes EML and SAML possible.
+//!   fast evaluation mode that makes EML and SAML possible;
+//! * [`TabulatedPredictionEvaluator`] — the same predictions memoized in one time
+//!   table per device, prefilled for enumeration ([`PredictionEvaluator::tabulated`])
+//!   or filled on first touch for walks ([`PredictionEvaluator::lazy_tabulated`]),
+//!   bit-identical to the direct models either way.
 //!
-//! Both implement [`Objective<SystemConfiguration>`] directly, so any optimizer in
+//! All implement [`Objective<SystemConfiguration>`] directly, so any optimizer in
 //! [`wd_opt`] — enumeration, simulated annealing, the ablation heuristics — consumes
-//! them without adapters, and both override [`Objective::evaluate_batch`]:
+//! them without adapters, and all override [`Objective::evaluate_batch`]:
 //! measurement batches go through the platform's parallel
 //! [`HeterogeneousPlatform::execute_many`], prediction batches fan out over rayon
-//! workers.  Wrap an evaluator in [`wd_opt::CachedObjective`] to memoize repeated
-//! configurations (the paper's methods re-visit configurations constantly under
-//! simulated annealing).
+//! workers, table batches are sequential probes.  Enumeration never repeats a
+//! configuration and runs on the bare evaluator; wrap an evaluator in
+//! [`wd_opt::CachedObjective`] only for walks that revisit configurations (SAM).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -29,6 +33,7 @@ use hetero_platform::{
 };
 use rayon::prelude::*;
 use wd_ml::Regressor;
+use wd_opt::sync::{read_lock, write_lock};
 use wd_opt::{CacheStats, DeltaObjective, Objective, Touched};
 
 use crate::config::{ConfigurationSpace, DeviceSetting, SystemConfiguration};
@@ -39,6 +44,13 @@ use crate::features::{device_features, host_features, share_bytes};
 /// [`PredictionEvaluator::evaluate_all_times`] returns, retained between neighbour
 /// moves so untouched devices are never re-scored.
 pub type PredictedTimes = (f64, Vec<f64>);
+
+/// Compose the energy and delta state of one full evaluation from its predicted
+/// times — the same max-fold, in the same order, as [`PredictionEvaluator::energy`].
+fn compose((host, devices): PredictedTimes) -> (f64, PredictedTimes) {
+    let device = devices.iter().copied().fold(0.0, f64::max);
+    (host.max(device), (host, devices))
+}
 
 /// Re-score `config` against `base`'s retained per-device times: recompute the
 /// components `touched` may cover (component 0 is the host, component `i + 1` is
@@ -262,12 +274,7 @@ impl PredictionEvaluator {
     /// Predicted host time plus one predicted time per accelerator for running the
     /// workload under `config`.  A device that receives no work reports 0.
     pub fn evaluate_all_times(&self, config: &SystemConfiguration) -> (f64, Vec<f64>) {
-        assert!(
-            config.accelerator_count() <= self.device_models.len(),
-            "configuration describes {} accelerators but only {} device models are trained",
-            config.accelerator_count(),
-            self.device_models.len()
-        );
+        self.assert_arity(config.accelerator_count());
         let host = self.config_host_time(config);
         let devices = config
             .devices()
@@ -292,21 +299,31 @@ impl PredictionEvaluator {
         host.max(device)
     }
 
-    /// Build the factorized fast path for exhaustive searches over `space`: a
-    /// [`TabulatedPredictionEvaluator`] whose per-device time tables are precomputed
-    /// with batched, rayon-parallel model queries.  See the type docs for when this
-    /// pays off.
+    /// The factorized fast path for exhaustive searches over `space`: a
+    /// [`TabulatedPredictionEvaluator`] whose per-device time tables are prefilled
+    /// with batched, rayon-parallel model queries
+    /// ([`TabulatedPredictionEvaluator::prefill`]), so scanning `space` walks no model.
     pub fn tabulated(&self, space: &ConfigurationSpace) -> TabulatedPredictionEvaluator<'_> {
-        TabulatedPredictionEvaluator::new(self, space)
+        let table = TabulatedPredictionEvaluator::new(self);
+        table.prefill(space);
+        table
     }
 
-    /// Build the factorized fast path for *local-search* walks: a
-    /// [`LazyTabulatedPredictionEvaluator`] whose per-device time tables start empty
-    /// and are filled on first touch, so a SAM/SAML walk (or the adaptive refinement
+    /// The factorized fast path for *local-search* walks: a
+    /// [`TabulatedPredictionEvaluator`] whose per-device time tables start empty and
+    /// fill on first touch, so a SAML/GAML walk (or the adaptive refinement
     /// controller) pays one model query per *distinct* `(threads, affinity, share)`
     /// triple it ever visits instead of one per device per move.
-    pub fn lazy_tabulated(&self) -> LazyTabulatedPredictionEvaluator<'_> {
-        LazyTabulatedPredictionEvaluator::new(self)
+    pub fn lazy_tabulated(&self) -> TabulatedPredictionEvaluator<'_> {
+        TabulatedPredictionEvaluator::new(self)
+    }
+
+    fn assert_arity(&self, accelerators: usize) {
+        assert!(
+            accelerators <= self.device_models.len(),
+            "{accelerators} accelerators described but only {} device models are trained",
+            self.device_models.len()
+        );
     }
 
     /// The host time of `config` exactly as [`PredictionEvaluator::evaluate_all_times`]
@@ -354,9 +371,7 @@ impl DeltaObjective<SystemConfiguration> for PredictionEvaluator {
     type State = PredictedTimes;
 
     fn evaluate_with_state(&self, config: &SystemConfiguration) -> (f64, PredictedTimes) {
-        let (host, devices) = self.evaluate_all_times(config);
-        let device = devices.iter().copied().fold(0.0, f64::max);
-        (host.max(device), (host, devices))
+        compose(self.evaluate_all_times(config))
     }
 
     fn evaluate_move(
@@ -366,12 +381,7 @@ impl DeltaObjective<SystemConfiguration> for PredictionEvaluator {
         config: &SystemConfiguration,
         touched: &Touched,
     ) -> (f64, PredictedTimes) {
-        assert!(
-            config.accelerator_count() <= self.device_models.len(),
-            "configuration describes {} accelerators but only {} device models are trained",
-            config.accelerator_count(),
-            self.device_models.len()
-        );
+        self.assert_arity(config.accelerator_count());
         recompose_move(
             base,
             state,
@@ -387,56 +397,83 @@ impl DeltaObjective<SystemConfiguration> for PredictionEvaluator {
 /// `(threads, affinity, share permille)` axis.
 type TimeTable = HashMap<(u32, Affinity, u32), f64>;
 
-/// Number of table entries scored per batched model call during construction.
+/// Number of table entries scored per batched model call of a prefill.
 const TABLE_BATCH: usize = 256;
 
-/// The factorized prediction fast path for exhaustive (enumeration) searches.
+/// The factorized prediction fast path: per-device time tables over the trained
+/// models, shared by enumeration (EML, sharded EML) and local-search walks (SAML,
+/// GAML, tabu, hill climbing, the adaptive refinement controller).
 ///
 /// The energy `E = max(T_host, max_d T_d)` is *separable*: each device's predicted
 /// time depends only on that device's own `(threads, affinity, share)` triple, never
 /// on the other devices.  An N-way grid of `|host axis| × Π_d |axis_d| × |splits|`
 /// configurations therefore needs only `Σ_d |threads_d| × |affinities_d| × |shares_d|`
-/// *distinct* model queries — the per-device tables this evaluator precomputes — after
-/// which scoring any configuration is a handful of table lookups and a max-fold,
-/// with **zero** boosted-tree walks.
+/// *distinct* model queries, after which scoring any configuration is a handful of
+/// table lookups and a max-fold, with **zero** boosted-tree walks.
 ///
-/// Construction queries the models once per table entry through the batched,
-/// rayon-parallel [`wd_ml::Regressor::predict_batch`] path; results are **bit-identical**
-/// to [`PredictionEvaluator`] (the tables store exactly what `predict_host` /
-/// `predict_device_on` would return, and the max-composition replicates
-/// [`PredictionEvaluator::energy`] operation for operation).
+/// The tables are memoized by value and fill on first touch, so the evaluator is
+/// total: any configuration, inside a particular space or not, fills its own entries
+/// through the direct model path.  How the tables get filled depends on the search:
 ///
-/// Tabulation pays off when many configurations share axis values — enumeration (EM's
-/// grid visits every table entry thousands of times) and sharded campaigns.  It does
-/// *not* pay off for short annealing walks, which visit too few configurations to
-/// amortise building the tables; those keep querying the models directly.
+/// * enumeration visits every entry thousands of times, so
+///   [`PredictionEvaluator::tabulated`] fills them up front through
+///   [`TabulatedPredictionEvaluator::prefill`] (batched, rayon-parallel
+///   [`wd_ml::Regressor::predict_batch`] calls) and the scan adds no model query;
+/// * a walk visits too few configurations to amortise a full prefill, so
+///   [`PredictionEvaluator::lazy_tabulated`] starts empty: a 2 000-iteration SAML
+///   walk revisits the same few dozen axis values, and its model cost is bounded by
+///   the number of *distinct* triples visited, not by the walk length.
 ///
-/// Configurations outside the tabulated space (an axis value or share the space does
-/// not contain) fall back to the wrapped evaluator's direct model path, so the
-/// evaluator remains total; [`TabulatedPredictionEvaluator::fallback_queries`] counts
-/// how often that happened.
+/// Either way every energy is **bit-identical** to [`PredictionEvaluator`]: the
+/// tables store exactly what `predict_host` / `predict_device_on` would return, zero
+/// shares short-circuit to 0 without a model query, and the max-composition
+/// replicates [`PredictionEvaluator::energy`] operation for operation.
+///
+/// The tables live behind [`RwLock`]s, so one evaluator can be shared across rayon
+/// workers (the parallel enumeration, the convergence study's parallel annealing
+/// repeats); under a race two workers may redundantly query the model for the same
+/// fresh entry — the values are identical, one wins the insert, and
+/// [`TabulatedPredictionEvaluator::model_queries`] counts both walks (it reports real
+/// model cost, not distinct entries).
+///
+/// Implements [`DeltaObjective`], so the incremental drivers
+/// ([`wd_opt::SimulatedAnnealing::run_delta`] and friends) re-probe only the devices
+/// a neighbour move touched: an accepted move costs O(1) table probes and — once the
+/// tables are warm — zero model queries.
 pub struct TabulatedPredictionEvaluator<'a> {
     inner: &'a PredictionEvaluator,
-    host: TimeTable,
-    devices: Vec<TimeTable>,
-    table_model_queries: usize,
-    fallback_queries: AtomicUsize,
+    host: RwLock<TimeTable>,
+    devices: Vec<RwLock<TimeTable>>,
+    probes: AtomicUsize,
+    model_queries: AtomicUsize,
 }
 
 impl<'a> TabulatedPredictionEvaluator<'a> {
-    /// Precompute the host table and one table per accelerator of `space`.
+    /// Wrap `inner` with empty tables (one per trained device model).
+    pub fn new(inner: &'a PredictionEvaluator) -> Self {
+        TabulatedPredictionEvaluator {
+            inner,
+            host: RwLock::new(TimeTable::new()),
+            devices: (0..inner.device_models.len())
+                .map(|_| RwLock::new(TimeTable::new()))
+                .collect(),
+            probes: AtomicUsize::new(0),
+            model_queries: AtomicUsize::new(0),
+        }
+    }
+
+    /// Fill the host table and one table per accelerator with every axis triple of
+    /// `space`, through batched, rayon-parallel model calls.  Entries already in a
+    /// table are not queried again; each fresh entry counts as one
+    /// [`TabulatedPredictionEvaluator::model_queries`] walk (zero shares are filled
+    /// for free).  Afterwards a scan of `space` adds no model query.
     ///
     /// # Panics
     ///
     /// Panics if `space` describes more accelerators than `inner` has models for.
-    pub fn new(inner: &'a PredictionEvaluator, space: &ConfigurationSpace) -> Self {
-        assert!(
-            space.accelerator_count() <= inner.device_models.len(),
-            "space describes {} accelerators but only {} device models are trained",
-            space.accelerator_count(),
-            inner.device_models.len()
-        );
-        let bytes = inner.workload.bytes;
+    pub fn prefill(&self, space: &ConfigurationSpace) {
+        let inner = self.inner;
+        inner.assert_arity(space.accelerator_count());
 
         // distinct share values per simplex position (column 0 is the host)
         let shares_of = |position: usize| {
@@ -446,72 +483,65 @@ impl<'a> TabulatedPredictionEvaluator<'a> {
             shares
         };
 
-        let host = Self::build_table(
+        self.fill_axis(
+            &self.host,
             inner.host_model.as_ref(),
             &space.host_threads,
             &space.host_affinities,
             &shares_of(0),
-            bytes,
             host_features,
             // exactly `predict_host`: clamp the raw prediction at zero
             &|prediction| prediction.max(0.0),
         );
         let overhead = inner.device_fixed_overhead;
-        let devices: Vec<(TimeTable, usize)> = space
-            .device_axes
-            .iter()
-            .enumerate()
-            .map(|(index, axis)| {
-                Self::build_table(
-                    inner.device_models[index].as_ref(),
-                    &axis.threads,
-                    &axis.affinities,
-                    &shares_of(index + 1),
-                    bytes,
-                    device_features,
-                    // exactly `predict_device_on`: add the offload overhead, clamp
-                    &|prediction| (prediction + overhead).max(0.0),
-                )
-            })
-            .collect();
-
-        let table_model_queries =
-            host.1 + devices.iter().map(|(_, queries)| queries).sum::<usize>();
-        TabulatedPredictionEvaluator {
-            inner,
-            host: host.0,
-            devices: devices.into_iter().map(|(table, _)| table).collect(),
-            table_model_queries,
-            fallback_queries: AtomicUsize::new(0),
+        for (index, axis) in space.device_axes.iter().enumerate() {
+            self.fill_axis(
+                &self.devices[index],
+                inner.device_models[index].as_ref(),
+                &axis.threads,
+                &axis.affinities,
+                &shares_of(index + 1),
+                device_features,
+                // exactly `predict_device_on`: add the offload overhead, clamp
+                &|prediction| (prediction + overhead).max(0.0),
+            );
         }
     }
 
-    /// Tabulate one device axis: zero shares short-circuit to 0 (as the direct path
-    /// does), everything else is scored through batched, rayon-parallel model calls.
-    /// Returns the table and the number of model queries it cost.
-    fn build_table(
+    /// Tabulate one device axis into `table`: zero shares short-circuit to 0 (as the
+    /// direct path does), every other missing entry is scored through batched,
+    /// rayon-parallel model calls.
+    #[allow(clippy::too_many_arguments)] // one axis of `prefill`, spelled out
+    fn fill_axis(
+        &self,
+        table: &RwLock<TimeTable>,
         model: &(dyn Regressor + Send + Sync),
         threads: &[u32],
         affinities: &[Affinity],
         shares: &[u32],
-        total_bytes: u64,
         featurize: fn(u32, Affinity, u64) -> Vec<f64>,
         finish: &(dyn Fn(f64) -> f64 + Sync),
-    ) -> (TimeTable, usize) {
-        let mut table = TimeTable::with_capacity(threads.len() * affinities.len() * shares.len());
+    ) {
+        let total_bytes = self.inner.workload.bytes;
         let mut queried: Vec<(u32, Affinity, u32)> = Vec::new();
+        let mut entries = write_lock(table);
         for &t in threads {
             for &a in affinities {
                 for &share in shares {
+                    let key = (t, a, share);
+                    if entries.contains_key(&key) {
+                        continue;
+                    }
                     if share_bytes(total_bytes, share) == 0 {
                         // a side that receives no work reports 0, without a model query
-                        table.insert((t, a, share), 0.0);
+                        entries.insert(key, 0.0);
                     } else {
-                        queried.push((t, a, share));
+                        queried.push(key);
                     }
                 }
             }
         }
+        drop(entries);
 
         let predictions: Vec<Vec<f64>> = queried
             .chunks(TABLE_BATCH)
@@ -532,209 +562,13 @@ impl<'a> TabulatedPredictionEvaluator<'a> {
                     .collect()
             })
             .collect();
+        self.model_queries
+            .fetch_add(queried.len(), Ordering::Relaxed);
+        let mut table = write_lock(table);
         for (chunk, chunk_predictions) in queried.chunks(TABLE_BATCH).zip(predictions) {
             for (&key, &time) in chunk.iter().zip(&chunk_predictions) {
-                table.insert(key, time);
+                table.entry(key).or_insert(time);
             }
-        }
-        (table, queried.len())
-    }
-
-    /// Number of model queries spent building the tables — the *entire* model cost of
-    /// any number of subsequent evaluations.
-    pub fn table_model_queries(&self) -> usize {
-        self.table_model_queries
-    }
-
-    /// Total number of table entries across the host and all devices.
-    pub fn table_len(&self) -> usize {
-        self.host.len() + self.devices.iter().map(TimeTable::len).sum::<usize>()
-    }
-
-    /// How many evaluations had to fall back to the direct model path because the
-    /// configuration lay outside the tabulated space (0 for enumeration over the
-    /// space the tables were built from).
-    pub fn fallback_queries(&self) -> usize {
-        self.fallback_queries.load(Ordering::Relaxed)
-    }
-
-    /// The wrapped direct evaluator.
-    pub fn inner(&self) -> &PredictionEvaluator {
-        self.inner
-    }
-
-    fn host_time(&self, config: &SystemConfiguration) -> f64 {
-        match self.host.get(&(
-            config.host_threads,
-            config.host_affinity,
-            config.host_permille(),
-        )) {
-            Some(&time) => time,
-            None => {
-                self.fallback_queries.fetch_add(1, Ordering::Relaxed);
-                let bytes = share_bytes(self.inner.workload.bytes, config.host_permille());
-                if bytes == 0 {
-                    0.0
-                } else {
-                    self.inner
-                        .predict_host(config.host_threads, config.host_affinity, bytes)
-                }
-            }
-        }
-    }
-
-    fn device_time(&self, index: usize, device: crate::config::DeviceSetting) -> f64 {
-        match self
-            .devices
-            .get(index)
-            .and_then(|table| table.get(&(device.threads, device.affinity, device.permille)))
-        {
-            Some(&time) => time,
-            None => {
-                self.fallback_queries.fetch_add(1, Ordering::Relaxed);
-                let bytes = share_bytes(self.inner.workload.bytes, device.permille);
-                if bytes == 0 {
-                    0.0
-                } else {
-                    self.inner
-                        .predict_device_on(index, device.threads, device.affinity, bytes)
-                }
-            }
-        }
-    }
-
-    /// The optimization energy `E = max(T_host, max_d T_d)` by table lookup +
-    /// max-composition — the same fold, in the same order, as
-    /// [`PredictionEvaluator::energy`].
-    pub fn energy(&self, config: &SystemConfiguration) -> f64 {
-        assert!(
-            config.accelerator_count() <= self.inner.device_models.len(),
-            "configuration describes {} accelerators but only {} device models are trained",
-            config.accelerator_count(),
-            self.inner.device_models.len()
-        );
-        let host = self.host_time(config);
-        let device = config
-            .devices()
-            .iter()
-            .enumerate()
-            .map(|(index, &device)| self.device_time(index, device))
-            .fold(0.0, f64::max);
-        host.max(device)
-    }
-}
-
-impl Objective<SystemConfiguration> for TabulatedPredictionEvaluator<'_> {
-    fn evaluate(&self, config: &SystemConfiguration) -> f64 {
-        self.energy(config)
-    }
-
-    /// Batched scoring: pure table lookups.  Deliberately sequential — the lookups
-    /// are ~ns each and the enumeration drivers already spread batches over rayon
-    /// workers, so fanning out *inside* the batch would only add thread overhead.
-    fn evaluate_batch(&self, configs: &[SystemConfiguration]) -> Vec<f64> {
-        configs.iter().map(|config| self.energy(config)).collect()
-    }
-}
-
-/// Incremental evaluation over the precomputed tables: a move re-probes only the
-/// touched devices' tables (out-of-space values still fall back to the direct model
-/// path, counted by [`TabulatedPredictionEvaluator::fallback_queries`]).
-impl DeltaObjective<SystemConfiguration> for TabulatedPredictionEvaluator<'_> {
-    type State = PredictedTimes;
-
-    fn evaluate_with_state(&self, config: &SystemConfiguration) -> (f64, PredictedTimes) {
-        assert!(
-            config.accelerator_count() <= self.inner.device_models.len(),
-            "configuration describes {} accelerators but only {} device models are trained",
-            config.accelerator_count(),
-            self.inner.device_models.len()
-        );
-        let host = self.host_time(config);
-        let devices: Vec<f64> = config
-            .devices()
-            .iter()
-            .enumerate()
-            .map(|(index, &device)| self.device_time(index, device))
-            .collect();
-        let device = devices.iter().copied().fold(0.0, f64::max);
-        (host.max(device), (host, devices))
-    }
-
-    fn evaluate_move(
-        &self,
-        base: &SystemConfiguration,
-        state: &PredictedTimes,
-        config: &SystemConfiguration,
-        touched: &Touched,
-    ) -> (f64, PredictedTimes) {
-        assert!(
-            config.accelerator_count() <= self.inner.device_models.len(),
-            "configuration describes {} accelerators but only {} device models are trained",
-            config.accelerator_count(),
-            self.inner.device_models.len()
-        );
-        recompose_move(
-            base,
-            state,
-            config,
-            touched,
-            || self.host_time(config),
-            |index, device| self.device_time(index, device),
-        )
-    }
-}
-
-/// The factorized prediction fast path for **local-search** walks (SAM/SAML, tabu,
-/// hill climbing, the adaptive refinement controller).
-///
-/// Like [`TabulatedPredictionEvaluator`] it exploits the separability of the energy
-/// `E = max(T_host, max_d T_d)` — each device's predicted time depends only on that
-/// device's own `(threads, affinity, share)` triple — but where the eager variant
-/// pays `Σ_d |axis_d|` model queries *up front* (which only enumeration amortises),
-/// the lazy variant starts with **empty** tables and fills each entry the first time
-/// a walk touches it.  A 2 000-iteration SAML walk revisits the same few dozen axis
-/// values constantly, so after a short warm-up every move is answered from the tables
-/// and the total model cost is bounded by the number of *distinct* triples visited —
-/// not by the walk length, and not by the space size.
-///
-/// Memoization is keyed by value, so the evaluator is total: a configuration outside
-/// any particular space simply fills its own entries through the same direct model
-/// path, making every energy **bit-identical** to [`PredictionEvaluator`] on every
-/// configuration (the tables store exactly what `predict_host` / `predict_device_on`
-/// would return, zero shares short-circuit to 0 without a model query, and the
-/// max-composition replicates [`PredictionEvaluator::energy`] operation for
-/// operation).
-///
-/// The tables live behind [`RwLock`]s, so one evaluator can be shared across rayon
-/// workers (e.g. the convergence study's parallel annealing repeats); under a race
-/// two workers may redundantly query the model for the same fresh entry — the values
-/// are identical, one wins the insert, and [`LazyTabulatedPredictionEvaluator::model_queries`]
-/// counts both walks (it reports real model cost, not distinct entries).
-///
-/// Implements [`DeltaObjective`], so the incremental drivers
-/// ([`wd_opt::SimulatedAnnealing::run_delta`] and friends) re-probe only the devices
-/// a neighbour move touched: an accepted move costs O(1) table probes and — once the
-/// tables are warm — zero model queries.
-pub struct LazyTabulatedPredictionEvaluator<'a> {
-    inner: &'a PredictionEvaluator,
-    host: RwLock<TimeTable>,
-    devices: Vec<RwLock<TimeTable>>,
-    probes: AtomicUsize,
-    model_queries: AtomicUsize,
-}
-
-impl<'a> LazyTabulatedPredictionEvaluator<'a> {
-    /// Wrap `inner` with empty tables (one per trained device model).
-    pub fn new(inner: &'a PredictionEvaluator) -> Self {
-        LazyTabulatedPredictionEvaluator {
-            inner,
-            host: RwLock::new(TimeTable::new()),
-            devices: (0..inner.device_models.len())
-                .map(|_| RwLock::new(TimeTable::new()))
-                .collect(),
-            probes: AtomicUsize::new(0),
-            model_queries: AtomicUsize::new(0),
         }
     }
 
@@ -745,25 +579,28 @@ impl<'a> LazyTabulatedPredictionEvaluator<'a> {
 
     /// Total number of per-device table probes served so far (every energy evaluation
     /// performs one probe for the host plus one per accelerator; a delta re-evaluation
-    /// probes only the touched components).
+    /// probes only the touched components).  [`TabulatedPredictionEvaluator::prefill`]
+    /// fills tables without probing.
     pub fn probes(&self) -> usize {
         self.probes.load(Ordering::Relaxed)
     }
 
-    /// Number of boosted-tree model walks performed so far — the *entire* model cost
-    /// of the walk, bounded by the number of distinct `(threads, affinity, share)`
-    /// triples visited (plus any racing duplicate fills under concurrent use).
+    /// Number of boosted-tree model walks performed so far, by
+    /// [`TabulatedPredictionEvaluator::prefill`] and by first-touch fills — the
+    /// *entire* model cost of the evaluator, bounded by the number of distinct
+    /// `(threads, affinity, share)` triples tabulated (plus any racing duplicate
+    /// fills under concurrent use).
     pub fn model_queries(&self) -> usize {
         self.model_queries.load(Ordering::Relaxed)
     }
 
     /// Total number of table entries memoized so far across the host and all devices.
     pub fn table_len(&self) -> usize {
-        self.host.read().expect("table lock poisoned").len()
+        read_lock(&self.host).len()
             + self
                 .devices
                 .iter()
-                .map(|table| table.read().expect("table lock poisoned").len())
+                .map(|table| read_lock(table).len())
                 .sum::<usize>()
     }
 
@@ -797,30 +634,25 @@ impl<'a> LazyTabulatedPredictionEvaluator<'a> {
         );
     }
 
-    /// Probe one table, filling the entry through `compute` on first touch.
-    /// `compute` returns the time plus whether it walked a model (zero-share entries
-    /// are filled for free).
+    /// Probe one table, filling the entry through the direct model path `compute`
+    /// on first touch (a zero share is filled without a model walk).
     fn probe(
         &self,
         table: &RwLock<TimeTable>,
         key: (u32, Affinity, u32),
-        compute: impl FnOnce() -> (f64, bool),
+        compute: impl FnOnce() -> f64,
     ) -> f64 {
         self.probes.fetch_add(1, Ordering::Relaxed);
-        if let Some(&time) = table.read().expect("table lock poisoned").get(&key) {
+        if let Some(&time) = read_lock(table).get(&key) {
             return time;
         }
-        let (time, walked_model) = compute();
-        if walked_model {
+        let time = compute();
+        if share_bytes(self.inner.workload.bytes, key.2) != 0 {
             self.model_queries.fetch_add(1, Ordering::Relaxed);
         }
         // a racing worker may have filled the entry while we computed; the values are
         // identical (models are deterministic), so first insert wins
-        table
-            .write()
-            .expect("table lock poisoned")
-            .entry(key)
-            .or_insert(time);
+        write_lock(table).entry(key).or_insert(time);
         time
     }
 
@@ -830,46 +662,21 @@ impl<'a> LazyTabulatedPredictionEvaluator<'a> {
             config.host_affinity,
             config.host_permille(),
         );
-        self.probe(&self.host, key, || {
-            let bytes = share_bytes(self.inner.workload.bytes, key.2);
-            if bytes == 0 {
-                (0.0, false)
-            } else {
-                (self.inner.predict_host(key.0, key.1, bytes), true)
-            }
-        })
+        self.probe(&self.host, key, || self.inner.config_host_time(config))
     }
 
     fn device_time(&self, index: usize, device: DeviceSetting) -> f64 {
         let key = (device.threads, device.affinity, device.permille);
         self.probe(&self.devices[index], key, || {
-            let bytes = share_bytes(self.inner.workload.bytes, device.permille);
-            if bytes == 0 {
-                (0.0, false)
-            } else {
-                (
-                    self.inner
-                        .predict_device_on(index, device.threads, device.affinity, bytes),
-                    true,
-                )
-            }
+            self.inner.config_device_time(index, device)
         })
-    }
-
-    fn assert_arity(&self, config: &SystemConfiguration) {
-        assert!(
-            config.accelerator_count() <= self.inner.device_models.len(),
-            "configuration describes {} accelerators but only {} device models are trained",
-            config.accelerator_count(),
-            self.inner.device_models.len()
-        );
     }
 
     /// Predicted host time plus one predicted time per accelerator, served from (and
     /// memoized into) the tables — bit-identical to
     /// [`PredictionEvaluator::evaluate_all_times`].
     pub fn evaluate_all_times(&self, config: &SystemConfiguration) -> (f64, Vec<f64>) {
-        self.assert_arity(config);
+        self.inner.assert_arity(config.accelerator_count());
         let host = self.host_time(config);
         let devices = config
             .devices()
@@ -887,32 +694,43 @@ impl<'a> LazyTabulatedPredictionEvaluator<'a> {
         (host, devices.into_iter().fold(0.0, f64::max))
     }
 
-    /// The optimization energy `E = max(T_host, max_d T_d)` by memoized table probe +
+    /// The optimization energy `E = max(T_host, max_d T_d)` by table probe +
     /// max-composition — the same fold, in the same order, as
-    /// [`PredictionEvaluator::energy`].
+    /// [`PredictionEvaluator::energy`], without collecting the per-device times.
     pub fn energy(&self, config: &SystemConfiguration) -> f64 {
-        let (host, devices) = self.evaluate_all_times(config);
-        let device = devices.into_iter().fold(0.0, f64::max);
+        self.inner.assert_arity(config.accelerator_count());
+        let host = self.host_time(config);
+        let device = config
+            .devices()
+            .iter()
+            .enumerate()
+            .map(|(index, &device)| self.device_time(index, device))
+            .fold(0.0, f64::max);
         host.max(device)
     }
 }
 
-impl Objective<SystemConfiguration> for LazyTabulatedPredictionEvaluator<'_> {
+impl Objective<SystemConfiguration> for TabulatedPredictionEvaluator<'_> {
     fn evaluate(&self, config: &SystemConfiguration) -> f64 {
         self.energy(config)
+    }
+
+    /// Batched scoring: table probes.  Deliberately sequential — a warm probe is
+    /// ~ns and the enumeration drivers already spread batches over rayon workers, so
+    /// fanning out *inside* the batch would only add thread overhead.
+    fn evaluate_batch(&self, configs: &[SystemConfiguration]) -> Vec<f64> {
+        configs.iter().map(|config| self.energy(config)).collect()
     }
 }
 
 /// Incremental evaluation over the memoized tables: an accepted move re-probes only
 /// the touched components, so long walks cost O(1) probes per move and amortized
 /// zero model queries.
-impl DeltaObjective<SystemConfiguration> for LazyTabulatedPredictionEvaluator<'_> {
+impl DeltaObjective<SystemConfiguration> for TabulatedPredictionEvaluator<'_> {
     type State = PredictedTimes;
 
     fn evaluate_with_state(&self, config: &SystemConfiguration) -> (f64, PredictedTimes) {
-        let (host, devices) = self.evaluate_all_times(config);
-        let device = devices.iter().copied().fold(0.0, f64::max);
-        (host.max(device), (host, devices))
+        compose(self.evaluate_all_times(config))
     }
 
     fn evaluate_move(
@@ -922,7 +740,7 @@ impl DeltaObjective<SystemConfiguration> for LazyTabulatedPredictionEvaluator<'_
         config: &SystemConfiguration,
         touched: &Touched,
     ) -> (f64, PredictedTimes) {
-        self.assert_arity(config);
+        self.inner.assert_arity(config.accelerator_count());
         recompose_move(
             base,
             state,
@@ -1071,37 +889,12 @@ mod tests {
 
     #[test]
     fn tabulated_evaluator_is_bit_identical_and_factorizes_the_queries() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
         use wd_opt::SearchSpace as _;
-
-        // a deterministic nonlinear dummy model that counts its invocations
-        struct Wavy(&'static AtomicUsize);
-        impl Regressor for Wavy {
-            fn fit(&mut self, _data: &wd_ml::Dataset) -> Result<(), wd_ml::MlError> {
-                Ok(())
-            }
-            fn predict_one(&self, features: &[f64]) -> f64 {
-                self.0.fetch_add(1, Ordering::Relaxed);
-                (features[0] * 0.37).sin().abs() + features[4] * (1.0 + features[1] * 0.25)
-            }
-            fn is_fitted(&self) -> bool {
-                true
-            }
-            fn name(&self) -> &'static str {
-                "wavy"
-            }
-        }
         static HOST_CALLS: AtomicUsize = AtomicUsize::new(0);
         static DEVICE_CALLS: AtomicUsize = AtomicUsize::new(0);
 
         let space = crate::config::ConfigurationSpace::tiny();
-        let workload = WorkloadProfile::dna_scan("x", 3_000_000_000);
-        let evaluator = PredictionEvaluator::new(
-            Box::new(Wavy(&HOST_CALLS)),
-            vec![Box::new(Wavy(&DEVICE_CALLS))],
-            workload,
-        )
-        .with_device_overhead(0.125);
+        let evaluator = counting_wavy_evaluator(&HOST_CALLS, &DEVICE_CALLS);
 
         let configs = space.enumerate().unwrap();
         let direct: Vec<f64> = configs.iter().map(|c| evaluator.energy(c)).collect();
@@ -1113,7 +906,7 @@ mod tests {
         let tabulated = evaluator.tabulated(&space);
         let table_queries =
             HOST_CALLS.load(Ordering::Relaxed) + DEVICE_CALLS.load(Ordering::Relaxed);
-        assert_eq!(tabulated.table_model_queries(), table_queries);
+        assert_eq!(tabulated.model_queries(), table_queries);
         // the factorization collapses |grid| × 2 queries to Σ axis sizes
         assert!(
             table_queries * 5 <= direct_queries,
@@ -1127,21 +920,26 @@ mod tests {
                 "config {config}"
             );
         }
-        // scoring the whole grid consumed zero additional model queries
+        // scoring the whole prefilled grid consumed zero additional model queries
         assert_eq!(
             HOST_CALLS.load(Ordering::Relaxed) + DEVICE_CALLS.load(Ordering::Relaxed),
             table_queries
         );
-        assert_eq!(tabulated.fallback_queries(), 0);
+        assert_eq!(tabulated.model_queries(), table_queries);
 
-        // a configuration outside the space falls back to the direct path, identically
+        // a configuration outside the space fills its own entries, identically
         let outside =
             SystemConfiguration::with_host_percent(48, Affinity::None, 240, Affinity::Balanced, 55);
         assert_eq!(
             tabulated.energy(&outside).to_bits(),
             evaluator.energy(&outside).to_bits()
         );
-        assert!(tabulated.fallback_queries() > 0);
+        assert!(tabulated.model_queries() > table_queries);
+
+        // prefilling again queries only entries the tables still lack: none
+        let filled = tabulated.model_queries();
+        tabulated.prefill(&space);
+        assert_eq!(tabulated.model_queries(), filled);
 
         // the batched path matches too
         let batched = tabulated.evaluate_batch(&configs);
@@ -1151,8 +949,8 @@ mod tests {
         }
     }
 
-    /// A deterministic nonlinear dummy model counting invocations (shared by the lazy
-    /// tests below).
+    /// A deterministic nonlinear dummy model counting invocations (shared by the
+    /// table tests below).
     struct CountingWavy(&'static AtomicUsize);
     impl Regressor for CountingWavy {
         fn fit(&mut self, _data: &wd_ml::Dataset) -> Result<(), wd_ml::MlError> {
@@ -1339,7 +1137,7 @@ mod tests {
     }
 
     #[test]
-    fn eager_tabulated_delta_matches_the_direct_delta() {
+    fn prefilled_table_delta_matches_the_direct_delta() {
         use wd_opt::SearchSpace as _;
         use wd_opt::Touched;
         static HOST_CALLS: AtomicUsize = AtomicUsize::new(0);
@@ -1347,6 +1145,7 @@ mod tests {
         let evaluator = counting_wavy_evaluator(&HOST_CALLS, &DEVICE_CALLS);
         let space = crate::config::ConfigurationSpace::tiny();
         let tabulated = evaluator.tabulated(&space);
+        let prefill_queries = tabulated.model_queries();
 
         let configs = space.enumerate().unwrap();
         let (_, mut state) = tabulated.evaluate_with_state(&configs[0]);
@@ -1358,7 +1157,8 @@ mod tests {
             state = next;
             previous = config.clone();
         }
-        assert_eq!(tabulated.fallback_queries(), 0);
+        // the walk stays in the prefilled space, so it walks no model
+        assert_eq!(tabulated.model_queries(), prefill_queries);
     }
 
     #[test]

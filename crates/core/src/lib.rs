@@ -21,11 +21,13 @@
 //! ## The unified evaluation layer
 //!
 //! Both evaluators ([`MeasurementEvaluator`], [`PredictionEvaluator`]) implement the
-//! single [`wd_opt::Objective`] trait — there is no separate evaluator hierarchy.  All
-//! four methods run behind a [`wd_opt::CachedObjective`] (hit/miss counters surfaced
-//! on [`methods::MethodOutcome::cache`]); the enumeration-based methods score the grid
-//! through the batched [`wd_opt::ParallelEnumeration`] path, which reaches the
-//! simulator's rayon-parallel `execute_many`.  The training campaign likewise runs as
+//! single [`wd_opt::Objective`] trait — there is no separate evaluator hierarchy.  The
+//! enumeration-based methods score the grid uncached (an enumeration never repeats a
+//! configuration) through the batched [`wd_opt::ParallelEnumeration`] path, which
+//! reaches the simulator's rayon-parallel `execute_many`; SAM runs behind a
+//! [`wd_opt::CachedObjective`] and SAML/GAML over per-device prediction tables
+//! ([`TabulatedPredictionEvaluator`]), with hit/miss counters surfaced on
+//! [`methods::MethodOutcome::cache`].  The training campaign likewise runs as
 //! parallel batches.  All parallel paths are bit-identical to their sequential
 //! counterparts.
 //!
@@ -63,8 +65,7 @@ pub use autotuner::Autotuner;
 pub use config::{ConfigurationSpace, DeviceAxis, DeviceSetting, SystemConfiguration};
 pub use dist::{campaign_context, run_enumeration_sharded};
 pub use evaluator::{
-    LazyTabulatedPredictionEvaluator, MeasurementEvaluator, PredictedTimes, PredictionEvaluator,
-    TabulatedPredictionEvaluator,
+    MeasurementEvaluator, PredictedTimes, PredictionEvaluator, TabulatedPredictionEvaluator,
 };
 pub use experiments::{workload_mix, CaseConvergence, ConvergenceStudy};
 pub use methods::{MethodKind, MethodOutcome, MethodProperties, MethodRunner};

@@ -6,8 +6,7 @@ use std::time::Instant;
 use hetero_platform::{ExecutionStats, HeterogeneousPlatform, WorkloadProfile};
 use wd_obs::{FieldValue, NoopRecorder, Recorder};
 use wd_opt::{
-    CacheStats, CachedObjective, GeneticAlgorithm, Objective, Outcome, ParallelEnumeration,
-    SimulatedAnnealing,
+    CacheStats, CachedObjective, GeneticAlgorithm, Outcome, ParallelEnumeration, SimulatedAnnealing,
 };
 
 use crate::config::{ConfigurationSpace, SystemConfiguration};
@@ -140,16 +139,18 @@ pub struct MethodOutcome {
     pub measured_energy: f64,
     /// Number of configuration evaluations *requested* during the search.
     pub evaluations: usize,
-    /// Hit/miss counters of the evaluation cache the method ran behind.  `misses` is
-    /// the real evaluation cost (not `evaluations`, the request count); the
-    /// granularity depends on the method's fast path:
+    /// Hit/miss counters of the method's evaluations.  `misses` is the real
+    /// evaluation cost (not `evaluations`, the request count); the granularity
+    /// depends on the method's fast path:
     ///
-    /// * EM/EML/SAM memoize whole configurations ([`wd_opt::CachedObjective`]):
-    ///   `misses` is the number of distinct configurations evaluated — the paper's
-    ///   "number of experiments";
-    /// * SAML memoizes per-device table entries
-    ///   ([`crate::LazyTabulatedPredictionEvaluator::stats`]): `misses` is the number
-    ///   of boosted-tree model walks, `hits` every per-device probe answered without
+    /// * EM/EML enumerate uncached — a grid never repeats a configuration — so
+    ///   `hits` is 0 and `misses` equals `evaluations`;
+    /// * SAM memoizes whole configurations ([`wd_opt::CachedObjective`]): `misses`
+    ///   is the number of distinct configurations evaluated — the paper's "number of
+    ///   experiments";
+    /// * SAML/GAML memoize per-device table entries
+    ///   ([`crate::TabulatedPredictionEvaluator::stats`]): `misses` is the number of
+    ///   boosted-tree model walks, `hits` every per-device probe answered without
     ///   one.
     pub cache: CacheStats,
     /// Execution breakdown of the final re-measurement behind
@@ -163,7 +164,7 @@ pub struct MethodOutcome {
 
 impl MethodOutcome {
     /// The method's real evaluation cost (cache misses): distinct configurations
-    /// scored for EM/EML/SAM, boosted-tree model walks for SAML (see
+    /// scored for EM/EML/SAM, boosted-tree model walks for SAML/GAML (see
     /// [`MethodOutcome::cache`]).
     pub fn experiments(&self) -> usize {
         self.cache.misses
@@ -222,16 +223,19 @@ impl<'a> MethodRunner<'a> {
     ///
     /// Every method evaluates through the unified layer, each on its fast path:
     ///
-    /// * EM/SAM (measurement) run behind a [`CachedObjective`]; enumeration goes
-    ///   through the batched [`ParallelEnumeration`] path;
-    /// * EML scores the grid from *eagerly* precomputed per-device time tables
-    ///   ([`crate::TabulatedPredictionEvaluator`]), behind the same cache;
-    /// * SAML runs the annealer's incremental path
-    ///   ([`wd_opt::SimulatedAnnealing::run_delta`]) over *lazily* filled tables
-    ///   ([`crate::LazyTabulatedPredictionEvaluator`]): each move re-scores only the
-    ///   device it touched, and each distinct `(threads, affinity, share)` triple
-    ///   queries the boosted-tree model exactly once — bit-identical to annealing over
-    ///   the direct prediction evaluator.
+    /// * EM and EML enumerate the grid through the batched [`ParallelEnumeration`]
+    ///   path on the bare evaluator — an enumeration never repeats a configuration,
+    ///   so there is nothing to cache; EML scores the grid from per-device time
+    ///   tables prefilled up front ([`crate::PredictionEvaluator::tabulated`]);
+    /// * SAM runs behind a [`CachedObjective`], since its walk revisits
+    ///   configurations;
+    /// * SAML and GAML run the incremental path
+    ///   ([`wd_opt::SimulatedAnnealing::run_delta`],
+    ///   [`wd_opt::GeneticAlgorithm::run_delta`]) over per-device tables that fill on
+    ///   first touch ([`crate::PredictionEvaluator::lazy_tabulated`]): each move
+    ///   re-scores only the devices it touched, and each distinct
+    ///   `(threads, affinity, share)` triple queries the boosted-tree model exactly
+    ///   once — bit-identical to a walk over the direct prediction evaluator.
     ///
     /// The resulting hit/miss counters are surfaced on the [`MethodOutcome`]; note
     /// their granularity differs per path (see [`MethodOutcome::cache`]).
@@ -244,7 +248,9 @@ impl<'a> MethodRunner<'a> {
 
     /// [`MethodRunner::run`] with the run's telemetry published to `recorder`: per
     /// iteration events from the annealing/genetic walks (scoped by the lowercase
-    /// method name), the cache/table counters of the evaluation fast path, the
+    /// method name), the evaluation counters of each path — `{method}.cache.*` for
+    /// EM, EML (all misses, one per configuration) and SAM (the cache's own
+    /// counters), `{method}.lazy.*` for the table probes of SAML and GAML — the
     /// [`ExecutionStats`] of the final re-measurement, and one `{method}.run` span
     /// carrying wall-clock seconds, iterations, evaluations and energies.
     ///
@@ -260,27 +266,45 @@ impl<'a> MethodRunner<'a> {
         let started = Instant::now();
         let scope = method.name().to_ascii_lowercase();
         let measurement = MeasurementEvaluator::new(self.platform.clone(), self.workload.clone());
-        let (outcome, cache) = if method.uses_prediction() {
-            let models = self.require_models(method)?;
-            let prediction = models.prediction_evaluator(self.workload.clone());
-            if method.uses_enumeration() {
-                // EML fast path: the energy is separable per device, so the whole
-                // grid is scored from precomputed per-device time tables
-                // (Σ axis sizes model queries instead of |grid| × (N + 1)) —
-                // bit-identical to enumerating through `prediction` directly.
-                self.search(
-                    method,
-                    iterations,
-                    &prediction.tabulated(&self.grid),
-                    recorder,
-                    &scope,
-                )
-            } else {
-                // SAML/GAML fast path: lazy per-device tables + incremental (delta)
-                // re-scoring of each neighbour move (SAML) or each recombination's
-                // two-parent merge footprint (GAML).  Bit-identical to the classic
-                // direct walk: same RNG stream, same accepted moves, same energies —
-                // only the model cost drops.
+        let (outcome, cache) = match method {
+            MethodKind::Em | MethodKind::Eml => {
+                let outcome = if method.uses_prediction() {
+                    // EML fast path: the energy is separable per device, so the whole
+                    // grid is scored from prefilled per-device time tables
+                    // (Σ axis sizes model queries instead of |grid| × (N + 1)) —
+                    // bit-identical to enumerating through the models directly.
+                    let prediction = self
+                        .require_models(method)?
+                        .prediction_evaluator(self.workload.clone());
+                    ParallelEnumeration::new().run(&self.grid, &prediction.tabulated(&self.grid))
+                } else {
+                    ParallelEnumeration::new().run(&self.grid, &measurement)
+                };
+                // every configuration of the grid is evaluated exactly once
+                let cache = CacheStats {
+                    hits: 0,
+                    misses: outcome.evaluations,
+                };
+                cache.publish(recorder, &scope);
+                (outcome, cache)
+            }
+            MethodKind::Sam => {
+                let cached = CachedObjective::new(&measurement);
+                let outcome =
+                    self.annealer(iterations)
+                        .run_observed(&self.space, &cached, recorder, &scope);
+                cached.publish_stats(recorder, &scope);
+                (outcome, cached.stats())
+            }
+            MethodKind::Saml | MethodKind::Gaml => {
+                // SAML/GAML fast path: lazily filled per-device tables + incremental
+                // (delta) re-scoring of each neighbour move (SAML) or each
+                // recombination's two-parent merge footprint (GAML).  Bit-identical to
+                // the classic direct walk: same RNG stream, same accepted moves, same
+                // energies — only the model cost drops.
+                let prediction = self
+                    .require_models(method)?
+                    .prediction_evaluator(self.workload.clone());
                 let lazy = prediction.lazy_tabulated();
                 let outcome = if method == MethodKind::Gaml {
                     self.genetic(iterations).run_delta_observed(
@@ -300,8 +324,6 @@ impl<'a> MethodRunner<'a> {
                 lazy.publish_stats(recorder, &scope);
                 (outcome, lazy.stats())
             }
-        } else {
-            self.search(method, iterations, &measurement, recorder, &scope)
         };
         Ok(self.finish(
             method,
@@ -312,29 +334,6 @@ impl<'a> MethodRunner<'a> {
             &scope,
             started,
         ))
-    }
-
-    /// Drive one space-exploration strategy over `objective` through the cached layer.
-    fn search<O>(
-        &self,
-        method: MethodKind,
-        iterations: usize,
-        objective: &O,
-        recorder: &dyn Recorder,
-        scope: &str,
-    ) -> (Outcome<SystemConfiguration>, CacheStats)
-    where
-        O: Objective<SystemConfiguration> + Sync,
-    {
-        let cached = CachedObjective::new(objective);
-        let outcome = if method.uses_enumeration() {
-            ParallelEnumeration::new().run(&self.grid, &cached)
-        } else {
-            self.annealer(iterations)
-                .run_observed(&self.space, &cached, recorder, scope)
-        };
-        cached.publish_stats(recorder, scope);
-        (outcome, cached.stats())
     }
 
     fn genetic(&self, iterations: usize) -> GeneticAlgorithm {

@@ -65,7 +65,6 @@ pub mod key;
 pub mod proc;
 pub mod store;
 pub mod supervisor;
-mod sync;
 
 pub use coordinator::{
     merge_shard_bests, CampaignOutcome, ShardReport, ShardedCampaign, StoreBackedObjective,

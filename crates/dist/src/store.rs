@@ -26,10 +26,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, RwLock};
 
 use wd_obs::Recorder;
+use wd_opt::sync::{lock, read_lock, write_lock};
 use wd_opt::CacheStats;
 
 use crate::key::ConfigKey;
-use crate::sync::{lock, read_lock, write_lock};
 
 /// A concurrent store of evaluated `(configuration, energy)` pairs.
 ///

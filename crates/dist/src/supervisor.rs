@@ -37,13 +37,13 @@ use std::sync::Mutex;
 use rayon::prelude::*;
 
 use wd_obs::{FieldValue, NoopRecorder, Recorder};
+use wd_opt::sync::lock;
 use wd_opt::{better_indexed, CacheStats, Objective, ResilienceStats, SearchSpace, ShardPlan};
 
 use crate::coordinator::{merge_shard_bests, CampaignOutcome, ShardReport, ShardedCampaign};
 use crate::error::CampaignError;
 use crate::fault::{FaultKind, FaultPlan, FaultyObjective, FaultyStore};
 use crate::store::ResultStore;
-use crate::sync::lock;
 
 /// Retry and lease parameters of a supervised campaign.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -69,7 +69,7 @@ pub mod sa;
 pub mod schedule;
 pub mod shard;
 pub mod space;
-mod sync;
+pub mod sync;
 pub mod tabu;
 pub mod trace;
 

@@ -128,6 +128,16 @@ impl CacheStats {
         }
     }
 
+    /// Publish the counters to `recorder` as `<scope>.cache.hits` /
+    /// `<scope>.cache.misses` (nothing when the recorder is disabled).
+    pub fn publish(&self, recorder: &dyn wd_obs::Recorder, scope: &str) {
+        if !recorder.enabled() {
+            return;
+        }
+        recorder.counter(&format!("{scope}.cache.hits"), self.hits as u64);
+        recorder.counter(&format!("{scope}.cache.misses"), self.misses as u64);
+    }
+
     /// Combine two counter sets (e.g. the per-shard stats of a distributed campaign).
     pub fn merged(self, other: CacheStats) -> CacheStats {
         CacheStats {
@@ -197,19 +207,14 @@ where
         }
     }
 
-    /// Publish the current hit/miss counters to `recorder` as
-    /// `<scope>.cache.hits` / `<scope>.cache.misses`.
+    /// Publish the current hit/miss counters to `recorder` (see
+    /// [`CacheStats::publish`]).
     ///
     /// The counters are read post-hoc from the cache's own atomics — publication
     /// never sits on the evaluation path, so observed and unobserved runs stay
     /// bit-identical.
     pub fn publish_stats(&self, recorder: &dyn wd_obs::Recorder, scope: &str) {
-        if !recorder.enabled() {
-            return;
-        }
-        let stats = self.stats();
-        recorder.counter(&format!("{scope}.cache.hits"), stats.hits as u64);
-        recorder.counter(&format!("{scope}.cache.misses"), stats.misses as u64);
+        self.stats().publish(recorder, scope);
     }
 
     /// Number of distinct configurations cached so far.

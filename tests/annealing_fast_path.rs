@@ -1,13 +1,12 @@
 //! Acceptance tests for the incremental annealing fast path (lazy per-device tables
 //! + O(1) delta energy updates):
 //!
-//! * property: the lazy [`LazyTabulatedPredictionEvaluator`] and the eager
-//!   [`TabulatedPredictionEvaluator`] are **bit-identical** to the direct
-//!   [`PredictionEvaluator`] over the whole enumeration of random 1/2/3-accelerator
-//!   spaces, and after a full sweep the lazy tables paid exactly the eager table
-//!   cost — no more, no less;
+//! * property: a [`TabulatedPredictionEvaluator`] started empty and one prefilled
+//!   for the space are **bit-identical** to the direct [`PredictionEvaluator`] over
+//!   the whole enumeration of random 1/2/3-accelerator spaces, and after a full
+//!   sweep the empty tables paid exactly the prefill cost — no more, no less;
 //! * property: incremental SA / tabu / hill-climbing trajectories (`run_delta` over
-//!   the lazy tables) are **bit-identical** to full re-evaluation of the direct
+//!   the empty tables) are **bit-identical** to full re-evaluation of the direct
 //!   models (`run`): same RNG seed → same accepted moves, same per-iteration trace,
 //!   same final energy — while walking the boosted-tree models far less often;
 //! * the per-device split granularity composes with the fast path: a heterogeneous
@@ -110,11 +109,12 @@ fn wavy_evaluator(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
-    /// Lazy and eager tabulation are bit-identical to the direct prediction path over
-    /// whole enumerations of random 1/2/3-accelerator spaces, and a full lazy sweep
-    /// walks the models exactly as often as building the eager tables.
+    /// Prefilled and empty tables are bit-identical to the direct prediction path
+    /// over whole enumerations of random 1/2/3-accelerator spaces, a scan of the
+    /// prefilled space walks no model, and a full sweep of the empty tables walks the
+    /// models exactly as often as the prefill did.
     #[test]
-    fn lazy_and_eager_tabulation_are_bit_identical(
+    fn prefilled_and_empty_tables_are_bit_identical(
         accelerators in 1usize..=3,
         host_threads in proptest::sample::select(vec![vec![2u32, 48], vec![12, 24, 48], vec![4]]),
         device_threads in proptest::sample::select(vec![vec![30u32, 240], vec![60], vec![8, 64, 448]]),
@@ -125,22 +125,25 @@ proptest! {
 
         let space = space_from(accelerators, host_threads, device_threads, step_index);
         let (evaluator, _calls) = wavy_evaluator(accelerators, bytes);
-        let eager = evaluator.tabulated(&space);
-        let lazy = evaluator.lazy_tabulated();
+        let prefilled = evaluator.tabulated(&space);
+        let prefill_queries = prefilled.model_queries();
+        let empty = evaluator.lazy_tabulated();
+        prop_assert_eq!(empty.table_len(), 0);
 
         for config in space.enumerate().unwrap() {
             let direct = evaluator.energy(&config);
-            prop_assert_eq!(eager.energy(&config).to_bits(), direct.to_bits(), "eager {}", config);
-            prop_assert_eq!(lazy.energy(&config).to_bits(), direct.to_bits(), "lazy {}", config);
+            prop_assert_eq!(prefilled.energy(&config).to_bits(), direct.to_bits(), "prefilled {}", config);
+            prop_assert_eq!(empty.energy(&config).to_bits(), direct.to_bits(), "empty {}", config);
         }
-        prop_assert_eq!(eager.fallback_queries(), 0);
+        // a scan of the prefilled space adds zero model queries
+        prop_assert_eq!(prefilled.model_queries(), prefill_queries);
         // one full sweep touches every distinct (threads, affinity, share) triple of
-        // the space — exactly the entries the eager construction precomputed
-        prop_assert_eq!(lazy.model_queries(), eager.table_model_queries());
-        prop_assert_eq!(lazy.table_len(), eager.table_len());
+        // the space — exactly the entries the prefill computed
+        prop_assert_eq!(empty.model_queries(), prefilled.model_queries());
+        prop_assert_eq!(empty.table_len(), prefilled.table_len());
     }
 
-    /// Incremental SA / tabu / hill-climbing over the lazy tables replay the direct
+    /// Incremental SA / tabu / hill-climbing over empty tables replay the direct
     /// full-re-evaluation trajectories bit for bit, with far fewer model walks.
     #[test]
     fn delta_walks_are_bit_identical_to_direct_reevaluation(

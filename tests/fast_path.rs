@@ -100,7 +100,7 @@ proptest! {
 
     /// Tabulated energies are bit-identical to the direct prediction path over the
     /// whole enumeration of random 1/2/3-accelerator spaces, and enumerating through
-    /// the tables never falls back to the models.
+    /// the prefilled tables adds zero model queries.
     #[test]
     fn tabulated_prediction_is_bit_identical(
         accelerators in 1usize..=3,
@@ -112,12 +112,13 @@ proptest! {
         let space = space_from(accelerators, host_threads, device_threads, step_index);
         let evaluator = wavy_evaluator(accelerators, bytes);
         let tabulated = evaluator.tabulated(&space);
+        let prefill_queries = tabulated.model_queries();
         for config in space.enumerate().unwrap() {
             let direct = evaluator.energy(&config);
             let fast = tabulated.energy(&config);
             prop_assert_eq!(direct.to_bits(), fast.to_bits(), "config {}", config);
         }
-        prop_assert_eq!(tabulated.fallback_queries(), 0);
+        prop_assert_eq!(tabulated.model_queries(), prefill_queries);
     }
 
     /// Lazy indexed enumeration serves exactly the `enumerate()` sequence: same
@@ -262,4 +263,6 @@ fn eml_through_the_method_runner_takes_the_fast_path_bit_identically() {
     assert_eq!(eml.search_energy.to_bits(), direct.best_energy.to_bits());
     assert_eq!(eml.evaluations, direct.evaluations);
     assert_eq!(eml.cache.misses as u128, grid.total_configurations());
+    // uncached EML reports exactly what the never-hitting cache counted
+    assert_eq!(eml.cache, cached.stats());
 }

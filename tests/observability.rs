@@ -12,7 +12,7 @@ use workdist::autotune::{ConfigurationSpace, MethodKind, MethodRunner, TrainingC
 use workdist::dna::Genome;
 use workdist::ml::BoostingParams;
 use workdist::obs::{EventLog, JsonlExporter, Registry};
-use workdist::opt::OptimizationTrace;
+use workdist::opt::{CacheStats, OptimizationTrace};
 use workdist::platform::HeterogeneousPlatform;
 
 const METHODS: [MethodKind; 5] = [
@@ -127,6 +127,42 @@ fn registry_telemetry_is_complete_enough_to_audit_a_saml_run() {
         snapshot.gauges["saml.run.measured_energy"].to_bits(),
         outcome.measured_energy.to_bits()
     );
+}
+
+#[test]
+fn enumeration_counters_report_one_miss_per_evaluation() {
+    let (platform, models) = setup();
+    let workload = Genome::Cat.workload();
+    let runner = MethodRunner::new(&platform, &workload, Some(&models), 11)
+        .with_grid(ConfigurationSpace::tiny())
+        .with_space(ConfigurationSpace::tiny());
+
+    let registry = Registry::new();
+    for method in [MethodKind::Em, MethodKind::Eml] {
+        let outcome = runner.run_observed(method, BUDGET, &registry).unwrap();
+        // an enumeration never repeats a configuration: no hits, one miss each
+        assert_eq!(
+            outcome.cache,
+            CacheStats {
+                hits: 0,
+                misses: outcome.evaluations
+            },
+            "{method:?}"
+        );
+        let scope = method.name().to_ascii_lowercase();
+        let snapshot = registry.snapshot();
+        assert_eq!(snapshot.counters[&format!("{scope}.cache.hits")], 0);
+        assert_eq!(
+            snapshot.counters[&format!("{scope}.cache.misses")],
+            outcome.evaluations as u64
+        );
+    }
+    // EML's prefilled tables publish no per-probe counters
+    assert!(registry
+        .snapshot()
+        .counters
+        .keys()
+        .all(|name| !name.starts_with("eml.lazy.")));
 }
 
 #[test]
