@@ -1,7 +1,8 @@
 //! Benches for the performance-prediction pipeline (paper Figs. 5–8, Tables IV–V).
 //!
 //! Measures the cost of (a) generating the training data on the simulator, (b) fitting
-//! the boosted-tree models and (c) predicting one configuration — the quantity that
+//! the boosted-tree models (`boosted_tree_fit_paper`: the default-parameter fit on the
+//! paper campaign's host dataset) and (c) predicting one configuration — the quantity that
 //! makes EML/SAML cheap compared to measurement-based evaluation.  Also prints the
 //! regenerated Table IV/V accuracy summary once per run.
 //!
@@ -18,7 +19,7 @@ use hetero_autotune::features::host_features;
 use hetero_autotune::{MeasurementEvaluator, SystemConfiguration, TrainingCampaign};
 use hetero_platform::{Affinity, HeterogeneousPlatform};
 use wd_bench::{kernel_bench_forest, measure_prediction_kernel, PaperStudy, Scale};
-use wd_ml::{BoostingParams, Regressor};
+use wd_ml::{BoostedTreesRegressor, BoostingParams, Regressor};
 
 fn print_accuracy_once() {
     let (_, models) = PaperStudy::run_training_only(Scale::Paper, 7);
@@ -44,6 +45,18 @@ fn bench_prediction(c: &mut Criterion) {
 
     c.bench_function("training_campaign_reduced", |b| {
         b.iter(|| campaign.run(&platform, BoostingParams::fast()));
+    });
+
+    // the paper-scale fit: 200 default-parameter trees on the 2 880-row host dataset
+    let paper_host = TrainingCampaign::paper().host_dataset(&platform);
+    c.bench_function("boosted_tree_fit_paper", |b| {
+        b.iter(|| {
+            let mut model = BoostedTreesRegressor::new(BoostingParams::default());
+            model
+                .fit(&paper_host)
+                .expect("the paper host dataset is non-empty");
+            model
+        });
     });
 
     let models = campaign.run(&platform, BoostingParams::fast());

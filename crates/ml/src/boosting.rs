@@ -12,7 +12,7 @@ use rand::SeedableRng;
 use crate::dataset::Dataset;
 use crate::error::MlError;
 use crate::model::Regressor;
-use crate::tree::{select_child, RegressionTree, TreeParams, LEAF};
+use crate::tree::{select_child, RankedFeatures, RegressionTree, TreeParams, LEAF};
 
 /// Hyper-parameters of the boosted ensemble.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -461,6 +461,7 @@ impl Regressor for BoostedTreesRegressor {
         let sample_size = ((n as f64) * self.params.subsample.clamp(0.05, 1.0)).ceil() as usize;
         let sample_size = sample_size.clamp(1, n);
         let mut all_indices: Vec<usize> = (0..n).collect();
+        let ranked = RankedFeatures::new(data);
 
         for _ in 0..self.params.n_estimators {
             for i in 0..n {
@@ -475,7 +476,7 @@ impl Regressor for BoostedTreesRegressor {
             };
 
             let mut tree = RegressionTree::new(self.params.tree);
-            tree.fit_on_indices(data, &residuals, &indices)?;
+            tree.fit_ranked(data, &ranked, &residuals, &indices)?;
 
             // batched residual update over the just-fitted tree's flat arrays
             // (bit-identical to the per-row `tree.predict_one` loop)

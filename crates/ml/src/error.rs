@@ -14,6 +14,13 @@ pub enum MlError {
         /// Number of features the row carries.
         actual: usize,
     },
+    /// A row index does not address a row of the dataset.
+    RowOutOfRange {
+        /// The offending row index.
+        index: usize,
+        /// Number of rows in the dataset.
+        rows: usize,
+    },
     /// A feature or target value is NaN or infinite.
     NonFiniteValue {
         /// Description of where the value was found.
@@ -39,6 +46,9 @@ impl fmt::Display for MlError {
             MlError::EmptyDataset => write!(f, "dataset contains no rows"),
             MlError::DimensionMismatch { expected, actual } => {
                 write!(f, "expected {expected} features per row, got {actual}")
+            }
+            MlError::RowOutOfRange { index, rows } => {
+                write!(f, "row index {index} is out of range for {rows} rows")
             }
             MlError::NonFiniteValue { context } => {
                 write!(f, "non-finite value encountered in {context}")
@@ -67,6 +77,7 @@ mod tests {
         for e in [
             MlError::EmptyDataset,
             MlError::NotFitted,
+            MlError::RowOutOfRange { index: 9, rows: 4 },
             MlError::NonFiniteValue {
                 context: "row 4".into(),
             },

@@ -16,8 +16,13 @@ pub struct TreeParams {
     pub max_depth: usize,
     /// Minimum number of training rows in a leaf.
     pub min_samples_leaf: usize,
-    /// Maximum number of candidate thresholds examined per feature (quantile pruning of
-    /// the split search keeps training fast on large datasets).
+    /// Thins the split search on large nodes.  A node of `n` rows examines a feature
+    /// only at the sorted positions that are multiples of `stride = max(1, n /
+    /// max_split_candidates)`, and there only where the value changes, so it examines
+    /// fewer than `2 × max_split_candidates` thresholds per feature.  A value change
+    /// between two such positions is never a candidate: on large nodes a column with
+    /// few distinct values, such as a one-hot affinity, usually loses its only
+    /// boundary.  Zero is treated as one.
     pub max_split_candidates: usize,
 }
 
@@ -231,9 +236,22 @@ impl RegressionTree {
 
     /// Fit the tree on a subset of rows (by index) against externally supplied targets
     /// (the boosting residuals).  `targets[i]` corresponds to `data.features(i)`.
+    /// Fails with [`MlError::RowOutOfRange`] when an index does not address a row.
     pub fn fit_on_indices(
         &mut self,
         data: &Dataset,
+        targets: &[f64],
+        indices: &[usize],
+    ) -> Result<(), MlError> {
+        self.fit_ranked(data, &RankedFeatures::new(data), targets, indices)
+    }
+
+    /// [`RegressionTree::fit_on_indices`] with the feature ranks of `data` computed by
+    /// the caller, so an ensemble ranks its dataset once instead of once per tree.
+    pub(crate) fn fit_ranked(
+        &mut self,
+        data: &Dataset,
+        ranked: &RankedFeatures,
         targets: &[f64],
         indices: &[usize],
     ) -> Result<(), MlError> {
@@ -246,9 +264,16 @@ impl RegressionTree {
                 actual: targets.len(),
             });
         }
+        if let Some(&index) = indices.iter().find(|&&i| i >= data.len()) {
+            return Err(MlError::RowOutOfRange {
+                index,
+                rows: data.len(),
+            });
+        }
         self.nodes.clear();
         let mut work = indices.to_vec();
-        self.build(data, targets, &mut work, 0);
+        let mut scratch = SplitScratch::new(ranked, indices.len());
+        self.build(data, ranked, targets, &mut work, &mut scratch, 0);
         Ok(())
     }
 
@@ -256,20 +281,26 @@ impl RegressionTree {
     fn build(
         &mut self,
         data: &Dataset,
+        ranked: &RankedFeatures,
         targets: &[f64],
         indices: &mut [usize],
+        scratch: &mut SplitScratch,
         depth: usize,
     ) -> usize {
-        let mean = indices.iter().map(|&i| targets[i]).sum::<f64>() / indices.len() as f64;
+        let node_targets = &mut scratch.node_targets[..indices.len()];
+        for (slot, &i) in node_targets.iter_mut().zip(indices.iter()) {
+            *slot = targets[i];
+        }
+        let mean = node_targets.iter().sum::<f64>() / indices.len() as f64;
 
         if depth >= self.params.max_depth
             || indices.len() < 2 * self.params.min_samples_leaf
-            || Self::is_pure(targets, indices)
+            || Self::is_pure(node_targets)
         {
             return self.push(Node::Leaf { prediction: mean });
         }
 
-        match self.best_split(data, targets, indices) {
+        match self.best_split(ranked, indices, scratch) {
             None => self.push(Node::Leaf { prediction: mean }),
             Some((feature, threshold)) => {
                 // partition indices in place
@@ -287,8 +318,8 @@ impl RegressionTree {
                 // up at index 0
                 let node_index = self.push(Node::Leaf { prediction: mean });
                 let (left_slice, right_slice) = indices.split_at_mut(split_point);
-                let left = self.build(data, targets, left_slice, depth + 1);
-                let right = self.build(data, targets, right_slice, depth + 1);
+                let left = self.build(data, ranked, targets, left_slice, scratch, depth + 1);
+                let right = self.build(data, ranked, targets, right_slice, scratch, depth + 1);
                 self.nodes[node_index] = Node::Split {
                     feature,
                     threshold,
@@ -338,55 +369,92 @@ impl RegressionTree {
         self.nodes.len() - 1
     }
 
-    fn is_pure(targets: &[f64], indices: &[usize]) -> bool {
-        let first = targets[indices[0]];
-        indices.iter().all(|&i| (targets[i] - first).abs() < 1e-12)
+    fn is_pure(node_targets: &[f64]) -> bool {
+        let first = node_targets[0];
+        node_targets.iter().all(|&t| (t - first).abs() < 1e-12)
     }
 
     /// Find the (feature, threshold) pair with the largest SSE reduction.
+    ///
+    /// Expects `scratch.node_targets` to hold the targets of `indices`, in order.
+    /// Per feature the node's rows are ordered by a stable counting sort over their
+    /// value ranks.  A stable sort's output depends only on the keys and the input
+    /// order, so this is the sequence a stable comparison sort by `f64::total_cmp`
+    /// yields: the prefix sums add in the same order and every split keeps its bits.
     fn best_split(
         &self,
-        data: &Dataset,
-        targets: &[f64],
+        ranked: &RankedFeatures,
         indices: &[usize],
+        scratch: &mut SplitScratch,
     ) -> Option<(usize, f64)> {
-        let total_sum: f64 = indices.iter().map(|&i| targets[i]).sum();
-        let total_sq: f64 = indices.iter().map(|&i| targets[i] * targets[i]).sum();
-        let n = indices.len() as f64;
+        let len = indices.len();
+        let SplitScratch {
+            node_targets,
+            counts,
+            sorted_ranks,
+            sorted_targets,
+        } = scratch;
+        let node_targets = &node_targets[..len];
+        let total_sum: f64 = node_targets.iter().sum();
+        let total_sq: f64 = node_targets.iter().map(|&t| t * t).sum();
+        let n = len as f64;
         let parent_sse = total_sq - total_sum * total_sum / n;
+        let stride = (len / self.params.max_split_candidates.max(1)).max(1);
 
         let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, sse)
 
-        for feature in 0..data.n_features() {
-            // candidate thresholds: sorted unique values (quantile-pruned)
-            let mut values: Vec<(f64, f64)> = indices
+        for (feature, (ranks, values)) in ranked.ranks.iter().zip(&ranked.values).enumerate() {
+            // counting sort: `counts[r]` becomes the first sorted position of rank `r`
+            let counts = &mut counts[..=values.len()];
+            counts.fill(0);
+            for &i in indices {
+                counts[ranks[i] as usize + 1] += 1;
+            }
+            for r in 1..counts.len() {
+                counts[r] += counts[r - 1];
+            }
+            // each start strictly inside the node is a position where the sorted rank
+            // changes; past the last such position on the stride there is no candidate
+            let Some(scan_end) = counts
                 .iter()
-                .map(|&i| (data.features(i)[feature], targets[i]))
-                .collect();
-            values.sort_by(|a, b| a.0.total_cmp(&b.0));
+                .rev()
+                .copied()
+                .find(|&p| p < len && p.is_multiple_of(stride))
+                .filter(|&p| p > 0)
+            else {
+                continue;
+            };
+            for (&i, &target) in indices.iter().zip(node_targets) {
+                let rank = ranks[i];
+                let position = &mut counts[rank as usize];
+                sorted_ranks[*position] = rank;
+                sorted_targets[*position] = target;
+                *position += 1;
+            }
 
-            let stride = (values.len() / self.params.max_split_candidates).max(1);
-
-            // prefix sums for O(1) SSE evaluation at each split position
+            // prefix sums for O(1) SSE evaluation; only every `stride`-th sorted
+            // position is a candidate, and only where the value changes there
             let mut left_sum = 0.0;
             let mut left_sq = 0.0;
-            let mut k = 0usize;
-            while k + 1 < values.len() {
-                left_sum += values[k].1;
-                left_sq += values[k].1 * values[k].1;
-                let boundary = values[k].0;
-                // only evaluate at value changes, respecting the candidate stride
-                let next = values[k + 1].0;
-                if boundary == next || !(k + 1).is_multiple_of(stride) {
-                    k += 1;
+            let mut next_candidate = stride;
+            for k in 0..scan_end {
+                let target = sorted_targets[k];
+                left_sum += target;
+                left_sq += target * target;
+                if k + 1 != next_candidate {
+                    continue;
+                }
+                next_candidate += stride;
+                let boundary = values[sorted_ranks[k] as usize];
+                let next = values[sorted_ranks[k + 1] as usize];
+                if boundary == next {
                     continue;
                 }
                 let left_n = (k + 1) as f64;
                 let right_n = n - left_n;
-                if (left_n as usize) < self.params.min_samples_leaf
-                    || (right_n as usize) < self.params.min_samples_leaf
+                if k + 1 < self.params.min_samples_leaf
+                    || len - (k + 1) < self.params.min_samples_leaf
                 {
-                    k += 1;
                     continue;
                 }
                 let right_sum = total_sum - left_sum;
@@ -397,7 +465,6 @@ impl RegressionTree {
                 if best.is_none_or(|(_, _, b)| sse < b) {
                     best = Some((feature, threshold, sse));
                 }
-                k += 1;
             }
         }
 
@@ -409,6 +476,73 @@ impl RegressionTree {
                 None
             }
         })
+    }
+}
+
+/// Every feature column of a dataset in dense rank form under `f64::total_cmp`:
+/// `ranks[f][row]` is the rank of `data.features(row)[f]` and `values[f][rank]` the
+/// value of that rank.  Computed once per fit, it turns the per-node split search
+/// into a counting sort (paper-scale columns take 2–160 distinct values).
+///
+/// `-0.0` and `0.0` get distinct ranks, as `total_cmp` orders them; the split search
+/// still compares the values themselves, so the two never form a split boundary.
+pub(crate) struct RankedFeatures {
+    ranks: Vec<Vec<u32>>,
+    values: Vec<Vec<f64>>,
+}
+
+impl RankedFeatures {
+    pub(crate) fn new(data: &Dataset) -> Self {
+        let (ranks, values) = (0..data.n_features())
+            .map(|feature| {
+                let column = |row: usize| data.features(row)[feature];
+                let mut order: Vec<usize> = (0..data.len()).collect();
+                order.sort_unstable_by(|&a, &b| column(a).total_cmp(&column(b)));
+                let mut ranks = vec![0u32; data.len()];
+                let mut values: Vec<f64> = Vec::new();
+                for row in order {
+                    let value = column(row);
+                    if values
+                        .last()
+                        .is_none_or(|last| last.total_cmp(&value).is_ne())
+                    {
+                        values.push(value);
+                    }
+                    ranks[row] = (values.len() - 1) as u32;
+                }
+                (ranks, values)
+            })
+            .unzip();
+        RankedFeatures { ranks, values }
+    }
+
+    /// Largest number of distinct values in any column.
+    fn max_distinct(&self) -> usize {
+        self.values.iter().map(Vec::len).max().unwrap_or(0)
+    }
+}
+
+/// Buffers of one tree's split search, sized once per fit and reused by every node
+/// and feature.
+struct SplitScratch {
+    /// Targets of the current node's rows, in the node's row order.
+    node_targets: Vec<f64>,
+    /// Counting-sort buckets, one per rank plus one.
+    counts: Vec<usize>,
+    /// The node's value ranks in sorted order.
+    sorted_ranks: Vec<u32>,
+    /// The node's targets in sorted value order.
+    sorted_targets: Vec<f64>,
+}
+
+impl SplitScratch {
+    fn new(ranked: &RankedFeatures, rows: usize) -> Self {
+        SplitScratch {
+            node_targets: vec![0.0; rows],
+            counts: vec![0; ranked.max_distinct() + 1],
+            sorted_ranks: vec![0; rows],
+            sorted_targets: vec![0.0; rows],
+        }
     }
 }
 
@@ -451,6 +585,180 @@ impl Regressor for RegressionTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
+
+    /// The comparison-sort split search the rank-bucketed one replaced, kept as its
+    /// oracle: per feature, sort the node's `(value, target)` pairs with a stable
+    /// `total_cmp` sort and scan every `stride`-th position.
+    fn best_split_sorted(
+        params: TreeParams,
+        data: &Dataset,
+        targets: &[f64],
+        indices: &[usize],
+    ) -> Option<(usize, f64)> {
+        let total_sum: f64 = indices.iter().map(|&i| targets[i]).sum();
+        let total_sq: f64 = indices.iter().map(|&i| targets[i] * targets[i]).sum();
+        let n = indices.len() as f64;
+        let parent_sse = total_sq - total_sum * total_sum / n;
+
+        let mut best: Option<(usize, f64, f64)> = None;
+        for feature in 0..data.n_features() {
+            let mut values: Vec<(f64, f64)> = indices
+                .iter()
+                .map(|&i| (data.features(i)[feature], targets[i]))
+                .collect();
+            values.sort_by(|a, b| a.0.total_cmp(&b.0));
+            let stride = (values.len() / params.max_split_candidates).max(1);
+
+            let mut left_sum = 0.0;
+            let mut left_sq = 0.0;
+            let mut k = 0usize;
+            while k + 1 < values.len() {
+                left_sum += values[k].1;
+                left_sq += values[k].1 * values[k].1;
+                let boundary = values[k].0;
+                let next = values[k + 1].0;
+                if boundary == next || !(k + 1).is_multiple_of(stride) {
+                    k += 1;
+                    continue;
+                }
+                let left_n = (k + 1) as f64;
+                let right_n = n - left_n;
+                if (left_n as usize) < params.min_samples_leaf
+                    || (right_n as usize) < params.min_samples_leaf
+                {
+                    k += 1;
+                    continue;
+                }
+                let right_sum = total_sum - left_sum;
+                let right_sq = total_sq - left_sq;
+                let sse = (left_sq - left_sum * left_sum / left_n)
+                    + (right_sq - right_sum * right_sum / right_n);
+                let threshold = (boundary + next) / 2.0;
+                if best.is_none_or(|(_, _, b)| sse < b) {
+                    best = Some((feature, threshold, sse));
+                }
+                k += 1;
+            }
+        }
+        best.and_then(|(feature, threshold, sse)| {
+            (sse < parent_sse - 1e-12).then_some((feature, threshold))
+        })
+    }
+
+    /// The rank-bucketed search on one node, set up the way `build` sets it up.
+    fn best_split_ranked(
+        params: TreeParams,
+        data: &Dataset,
+        targets: &[f64],
+        indices: &[usize],
+    ) -> Option<(usize, f64)> {
+        let ranked = RankedFeatures::new(data);
+        let mut scratch = SplitScratch::new(&ranked, indices.len());
+        for (slot, &i) in scratch.node_targets.iter_mut().zip(indices) {
+            *slot = targets[i];
+        }
+        RegressionTree::new(params).best_split(&ranked, indices, &mut scratch)
+    }
+
+    /// Rows full of ties: a binary column, a three-valued one, a 160-valued one, a
+    /// column mixing `-0.0` and `0.0`, and a near-continuous one; targets repeat too.
+    fn tie_heavy(rows: usize, rng: &mut StdRng) -> (Dataset, Vec<f64>) {
+        let mut data = Dataset::new(vec![
+            "binary".into(),
+            "ternary".into(),
+            "size".into(),
+            "signed_zero".into(),
+            "continuous".into(),
+        ]);
+        let mut targets = Vec::with_capacity(rows);
+        for _ in 0..rows {
+            let binary = f64::from(u8::from(rng.gen_bool(0.3)));
+            let ternary = rng.gen_range(0..3usize) as f64;
+            let size = rng.gen_range(1..=160usize) as f64 * 0.025;
+            let signed_zero = [-0.0, 0.0, 0.5][rng.gen_range(0..3usize)];
+            let continuous: f64 = rng.gen();
+            let target = if rng.gen_bool(0.5) {
+                rng.gen_range(0..4usize) as f64
+            } else {
+                10.0 * binary + ternary * size + signed_zero + continuous
+            };
+            data.push(vec![binary, ternary, size, signed_zero, continuous], target)
+                .unwrap();
+            targets.push(target);
+        }
+        (data, targets)
+    }
+
+    #[test]
+    fn rank_bucketed_split_search_matches_the_sorted_oracle() {
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        let mut compared = 0;
+        for round in 0..60 {
+            let rows = [2, 3, 17, 120, 700][round % 5];
+            let (data, targets) = tie_heavy(rows, &mut rng);
+            let mut all: Vec<usize> = (0..rows).collect();
+            all.shuffle(&mut rng);
+            // node index sets: the whole dataset in shuffled order, a random subset,
+            // and both sides of the unstable in-place partition `build` performs
+            let take = rng.gen_range(1..=rows);
+            let subset = all[..take].to_vec();
+            let mut partitioned = all.clone();
+            let feature = rng.gen_range(0..data.n_features());
+            let threshold = data.features(partitioned[0])[feature];
+            let mut split_point = 0;
+            for i in 0..partitioned.len() {
+                if data.features(partitioned[i])[feature] <= threshold {
+                    partitioned.swap(i, split_point);
+                    split_point += 1;
+                }
+            }
+            let (left, right) = partitioned.split_at(split_point);
+            for indices in [&all[..], &subset[..], left, right] {
+                if indices.is_empty() {
+                    continue;
+                }
+                for min_samples_leaf in [0, 1, 3, rows / 2 + 1] {
+                    for max_split_candidates in [1, 2, 7, 48, 1_000] {
+                        let params = TreeParams {
+                            max_depth: 6,
+                            min_samples_leaf,
+                            max_split_candidates,
+                        };
+                        let key = |split: Option<(usize, f64)>| {
+                            split.map(|(feature, threshold)| (feature, threshold.to_bits()))
+                        };
+                        assert_eq!(
+                            key(best_split_ranked(params, &data, &targets, indices)),
+                            key(best_split_sorted(params, &data, &targets, indices)),
+                            "{} rows, {params:?}",
+                            indices.len()
+                        );
+                        compared += 1;
+                    }
+                }
+            }
+        }
+        assert!(compared > 4_000);
+    }
+
+    #[test]
+    fn out_of_range_row_indices_are_rejected() {
+        let d = step_dataset();
+        let mut tree = RegressionTree::new(TreeParams::default());
+        assert_eq!(
+            tree.fit_on_indices(&d, d.targets(), &[0, 3, 10]),
+            Err(MlError::RowOutOfRange {
+                index: 10,
+                rows: 10
+            })
+        );
+        assert!(!tree.is_fitted());
+        tree.fit_on_indices(&d, d.targets(), &[0, 3, 9]).unwrap();
+        assert!(tree.is_fitted());
+    }
 
     fn step_dataset() -> Dataset {
         // y = 1 for x < 5, y = 10 for x >= 5 — a single split should fit it perfectly

@@ -206,3 +206,66 @@ proptest! {
         prop_assert_eq!(histogram.total() as usize, errors.len());
     }
 }
+
+/// FNV-1a over the bit patterns of `values`: any change to any bit of any value
+/// changes the fingerprint.
+fn fnv_fingerprint(values: impl IntoIterator<Item = f64>) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for value in values {
+        for byte in value.to_bits().to_le_bytes() {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    hash
+}
+
+/// A deterministic dataset built to stress ties in the split search: a three-way
+/// one-hot affinity (0/1 columns), a 160-value input size, and a column that mixes
+/// `-0.0` with `0.0` (distinct under `f64::total_cmp`, equal under `==`).
+fn tie_heavy_dataset(rows: usize) -> Dataset {
+    let mut data = Dataset::new(vec![
+        "compact".into(),
+        "scatter".into(),
+        "balanced".into(),
+        "size".into(),
+        "signed_zero".into(),
+    ]);
+    for i in 0..rows {
+        let affinity = (i * 7 / 3) % 3;
+        let size = ((i * 37) % 160) as f64 * 0.025;
+        let signed_zero = match (i * 13) % 5 {
+            0 | 3 => -0.0,
+            1 => 0.0,
+            _ => 1.0,
+        };
+        let onehot: Vec<f64> = (0..3).map(|a| f64::from(u8::from(a == affinity))).collect();
+        // deterministic pseudo-noise from a multiplicative hash of the row index
+        let noise =
+            ((i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40) as f64 / (1u64 << 24) as f64;
+        let target = 3.0 * size + 2.0 * affinity as f64 + signed_zero + 0.1 * noise;
+        data.push(
+            vec![onehot[0], onehot[1], onehot[2], size, signed_zero],
+            target,
+        )
+        .unwrap();
+    }
+    data
+}
+
+/// Golden fingerprint of a default-parameter boosted fit on the tie-heavy dataset:
+/// every bit of the batched predictions and the staged training loss is pinned, so
+/// any change to the split search that alters a split, threshold or leaf fails here.
+#[test]
+fn default_boosted_fit_matches_the_golden_fingerprint() {
+    let data = tie_heavy_dataset(1_200);
+    let mut model = BoostedTreesRegressor::new(BoostingParams::default());
+    model.fit(&data).unwrap();
+    let predictions = model.predict_batch(data.feature_matrix(), data.n_features());
+    let losses = model.staged_training_mse(&data);
+    let fingerprint = fnv_fingerprint(predictions.into_iter().chain(losses));
+    assert_eq!(
+        fingerprint, 0xee8c_b7c5_8206_2de5,
+        "boosted-tree fit changed: fingerprint {fingerprint:#018x}"
+    );
+}
