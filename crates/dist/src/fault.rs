@@ -9,8 +9,10 @@
 //!
 //! Because the schedule is finite and every attempt consumes at most one event
 //! (attempt counters only move forward), a supervised campaign under *any* plan
-//! performs finitely many failures and then converges; the store-first scan makes
-//! the recovery idempotent (persisted keys are never re-evaluated).
+//! performs finitely many failures and then converges — or stops with
+//! [`crate::CampaignError::RangeAbandoned`] once a stolen range exhausts its
+//! retries too; the store-first scan makes the recovery idempotent (persisted
+//! keys are never re-evaluated).
 //!
 //! [`FaultPlan::random`] derives a schedule from a seed with an embedded
 //! splitmix64 generator, so chaos runs are reproducible from a single integer.

@@ -1,10 +1,12 @@
 //! Multi-process distributed campaigns: a coordinator that spawns real worker
 //! **processes** (the `wd-worker` bin target), hands each one a shard of the
 //! enumeration range, and reconciles exclusively through the on-disk file
-//! protocol below.  This is the process-transport half of the fault-tolerance
-//! story: where [`crate::supervisor`] simulates worker failure on a logical
-//! clock inside one process, this module survives a real `kill -9` of any
-//! worker at any point.
+//! protocol below.  This is the process driver of the supervision state machine
+//! in [`crate::supervisor`]: the machine makes every retry, steal, fence and
+//! abandon decision, exactly as for the in-process thread driver, on wall-clock
+//! ticks (`elapsed / tick`).  The poll loop here only spawns workers, reaps
+//! their exits, watches heartbeats, salvages segments and writes grant files —
+//! and survives a real `kill -9` of any worker at any point.
 //!
 //! ## On-disk protocol (everything lives under one work directory)
 //!
@@ -59,17 +61,20 @@ use std::time::{Duration, Instant};
 
 use wd_obs::{FieldValue, NoopRecorder, Recorder};
 use wd_opt::space::GridSpace;
-use wd_opt::{CountingObjective, Objective, SearchSpace, ShardPlan};
+use wd_opt::{CacheStats, CountingObjective, Objective, SearchSpace, ShardPlan};
 
 use crate::coordinator::{CampaignOutcome, ShardedCampaign};
 use crate::error::CampaignError;
 use crate::fault::{FaultKind, FaultPlan};
 use crate::key::ConfigKey;
 use crate::store::{read_result_records, JsonlStore, ResultStore};
-use crate::supervisor::RetryPolicy;
+use crate::supervisor::{Decision, FailureReason, Lease, RetryPolicy, Supervisor};
 
 /// Schema header of the campaign manifest file.
 pub const PROC_MANIFEST_VERSION: &str = "wd-dist-proc-manifest/v1";
+
+/// Wall-clock budget of one campaign.
+const MAX_DURATION: Duration = Duration::from_secs(120);
 
 /// Work-queue decomposition factor: the coordinator carves the space into
 /// `slots * RANGES_PER_SLOT` ranges rather than one range per slot, so freed
@@ -563,19 +568,8 @@ pub struct ProcOutcome {
     pub report: ProcReport,
 }
 
-struct PendingRange {
-    range: Range<usize>,
-    attempt: usize,
-    stolen: bool,
-    ready_at: Instant,
-}
-
 struct LiveWorker {
-    slot: usize,
-    generation: u64,
-    range: Range<usize>,
-    attempt: usize,
-    stolen: bool,
+    lease: Lease,
     fenced: bool,
     child: Child,
     beat_value: Option<u64>,
@@ -587,6 +581,29 @@ fn shutdown_workers(live: &mut Vec<LiveWorker>) {
         let _ = worker.child.kill();
         let _ = worker.child.wait();
     }
+}
+
+/// Grant `range` to `slot` under fencing token `generation`.
+fn write_grant(
+    work: &WorkDir,
+    slot: usize,
+    generation: u64,
+    range: &Range<usize>,
+) -> Result<(), CampaignError> {
+    let grant = format!(
+        "gen {generation}\nstart {}\nend {}\n",
+        range.start, range.end
+    );
+    write_atomic(&work.grant(slot), &grant).map_err(CampaignError::Transport)
+}
+
+/// Stop the fleet and fail the campaign when the machine abandoned a range.
+fn stop_if_abandoned(decision: Decision, live: &mut Vec<LiveWorker>) -> Result<(), CampaignError> {
+    if let Decision::Abandon(range) = decision {
+        shutdown_workers(live);
+        return Err(CampaignError::RangeAbandoned { range });
+    }
+    Ok(())
 }
 
 /// Copy every record of `segment` whose key is absent from `store` (the
@@ -617,19 +634,17 @@ fn salvage_segment(store: &JsonlStore<(u32, u32)>, segment: &Path) -> Result<usi
 /// A campaign run across real worker processes (see the module docs for the
 /// protocol).  The coordinator spawns `wd-worker` children, watches exit
 /// statuses and heartbeats, fences stalled leases, salvages every segment, and
-/// retries or steals ranges with the shared [`RetryPolicy`].
+/// retries or steals ranges under [`RetryPolicy::default`].
 #[derive(Debug, Clone)]
 pub struct ProcCampaign {
     shard_count: usize,
     batch_size: usize,
-    policy: RetryPolicy,
     faults: FaultPlan,
     worker_bin: Option<PathBuf>,
     tick: Duration,
     stale_after: Duration,
     poll_interval: Duration,
     stall_ms: u64,
-    max_duration: Duration,
 }
 
 impl ProcCampaign {
@@ -640,14 +655,12 @@ impl ProcCampaign {
         ProcCampaign {
             shard_count: shard_count.max(1),
             batch_size: 64,
-            policy: RetryPolicy::default(),
             faults: FaultPlan::none(),
             worker_bin: None,
             tick: Duration::from_millis(25),
             stale_after: Duration::from_millis(400),
             poll_interval: Duration::from_millis(10),
             stall_ms: 2_000,
-            max_duration: Duration::from_secs(120),
         }
     }
 
@@ -655,12 +668,6 @@ impl ProcCampaign {
     /// at least 1).
     pub fn with_batch_size(mut self, batch_size: usize) -> Self {
         self.batch_size = batch_size.max(1);
-        self
-    }
-
-    /// Override the retry/backoff policy.
-    pub fn with_policy(mut self, policy: RetryPolicy) -> Self {
-        self.policy = policy;
         self
     }
 
@@ -696,12 +703,6 @@ impl ProcCampaign {
     /// horizon for the zombie-fencing path to fire).
     pub fn with_stall_ms(mut self, stall_ms: u64) -> Self {
         self.stall_ms = stall_ms;
-        self
-    }
-
-    /// Override the campaign's wall-clock budget.
-    pub fn with_max_duration(mut self, max_duration: Duration) -> Self {
-        self.max_duration = max_duration;
         self
     }
 
@@ -748,7 +749,7 @@ impl ProcCampaign {
     /// [`CampaignError::Transport`] for spawn/lease/manifest I/O failures or a
     /// blown wall-clock budget, [`CampaignError::Store`] for merged-store
     /// failures, and [`CampaignError::RangeAbandoned`] when a range exhausts
-    /// every retry and steal.
+    /// its retries and no steal can finish it.
     pub fn run(
         &self,
         spec: &WorkloadSpec,
@@ -792,35 +793,28 @@ impl ProcCampaign {
             .map_err(CampaignError::Transport)?;
 
         let plan = ShardPlan::new(total, self.shard_count.saturating_mul(RANGES_PER_SLOT));
-        let started = Instant::now();
-        let mut pending: Vec<PendingRange> = plan
+        let ranges = plan
             .ranges()
             .into_iter()
-            .filter(|range| !range.is_empty())
-            .map(|range| PendingRange {
-                range,
-                attempt: 0,
-                stolen: false,
-                ready_at: started,
-            })
+            .filter(|r| !r.is_empty())
             .collect();
-        let mut slot_gens: Vec<u64> = vec![0; self.shard_count];
-        // Cumulative per-slot attempt counters, the key space of
-        // [`FaultPlan::fate`] (matching the in-process supervisor's semantics).
-        let mut slot_attempts: Vec<usize> = vec![0; self.shard_count];
+        let mut machine = Supervisor::new(RetryPolicy::default(), ranges, false, self.shard_count)
+            .with_splits(2 * self.batch_size);
+        let started = Instant::now();
+        let tick = self.tick.as_nanos().max(1);
+        let now = || u64::try_from(started.elapsed().as_nanos() / tick).unwrap_or(u64::MAX);
         let mut live: Vec<LiveWorker> = Vec::new();
         let mut report = ProcReport::default();
         let mut zombie_grace_since: Option<Instant> = None;
 
         loop {
-            if started.elapsed() > self.max_duration {
+            if started.elapsed() > MAX_DURATION {
                 shutdown_workers(&mut live);
                 return Err(CampaignError::Transport(io::Error::new(
                     io::ErrorKind::TimedOut,
                     format!(
-                        "campaign did not settle within {:?}: {} range(s) still pending",
-                        self.max_duration,
-                        pending.len()
+                        "campaign did not settle within {MAX_DURATION:?}: range {:?} still pending",
+                        machine.unfinished()
                     ),
                 )));
             }
@@ -829,53 +823,15 @@ impl ProcCampaign {
             let slots = ProcManifest::read(&work.manifest())
                 .map(|m| m.slots.max(1))
                 .unwrap_or(self.shard_count);
-            if slot_gens.len() < slots {
-                slot_gens.resize(slots, 0);
-                slot_attempts.resize(slots, 0);
-            }
-            // More free capacity than queued work → split the largest queued
-            // range so new slots have something to pull.
-            let active = live.iter().filter(|w| !w.fenced).count();
-            while slots.saturating_sub(active) > pending.len() {
-                let splittable = pending
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, p)| p.range.len() >= 2 * self.batch_size)
-                    .max_by_key(|(_, p)| p.range.len())
-                    .map(|(pos, _)| pos);
-                let Some(pos) = splittable else { break };
-                let mid = pending[pos].range.start + pending[pos].range.len() / 2;
-                let tail = mid..pending[pos].range.end;
-                pending[pos].range = pending[pos].range.start..mid;
-                pending.push(PendingRange {
-                    range: tail,
-                    attempt: 0,
-                    stolen: pending[pos].stolen,
-                    ready_at: pending[pos].ready_at,
-                });
-                report.elastic_splits += 1;
-            }
+            machine.resize(slots);
 
-            // Spawn ready ranges onto free slots.
-            let now = Instant::now();
+            // Spawn whatever the machine assigns to free slots.
             for slot in 0..slots {
-                if live.iter().any(|w| w.slot == slot && !w.fenced) {
+                let Some(lease) = machine.assign(slot, now()) else {
                     continue;
-                }
-                let Some(pos) = pending.iter().position(|p| p.ready_at <= now) else {
-                    break;
                 };
-                let item = pending.remove(pos);
-                slot_gens[slot] += 1;
-                let generation = slot_gens[slot];
-                write_atomic(
-                    &work.grant(slot),
-                    &format!(
-                        "gen {generation}\nstart {}\nend {}\n",
-                        item.range.start, item.range.end
-                    ),
-                )
-                .map_err(CampaignError::Transport)?;
+                let generation = lease.generation;
+                write_grant(&work, slot, generation, &lease.range)?;
                 let log =
                     File::create(work.log(slot, generation)).map_err(CampaignError::Transport)?;
                 let err_log = log.try_clone().map_err(CampaignError::Transport)?;
@@ -888,15 +844,13 @@ impl ProcCampaign {
                     .arg("--generation")
                     .arg(generation.to_string())
                     .arg("--start")
-                    .arg(item.range.start.to_string())
+                    .arg(lease.range.start.to_string())
                     .arg("--end")
-                    .arg(item.range.end.to_string())
+                    .arg(lease.range.end.to_string())
                     .stdin(Stdio::null())
                     .stdout(Stdio::from(log))
                     .stderr(Stdio::from(err_log));
-                let slot_attempt = slot_attempts[slot];
-                slot_attempts[slot] += 1;
-                if let Some(event) = self.faults.fate(slot, slot_attempt) {
+                if let Some(event) = self.faults.fate(slot, lease.attempt) {
                     command.env(
                         WORKER_FAULT_ENV,
                         format!(
@@ -922,12 +876,13 @@ impl ProcCampaign {
                     &[
                         ("slot", FieldValue::U64(slot as u64)),
                         ("generation", FieldValue::U64(generation)),
-                        ("start", FieldValue::U64(item.range.start as u64)),
-                        ("len", FieldValue::U64(item.range.len() as u64)),
-                        ("attempt", FieldValue::U64(item.attempt as u64)),
+                        ("start", FieldValue::U64(lease.range.start as u64)),
+                        ("len", FieldValue::U64(lease.range.len() as u64)),
+                        ("attempt", FieldValue::U64(lease.tries as u64)),
                     ],
                 );
-                if item.attempt > 0 || item.stolen {
+                let stolen = lease.stolen_from.is_some();
+                if lease.tries > 0 || stolen {
                     report.respawned += 1;
                     recorder.event(
                         scope,
@@ -935,21 +890,17 @@ impl ProcCampaign {
                         &[
                             ("slot", FieldValue::U64(slot as u64)),
                             ("generation", FieldValue::U64(generation)),
-                            ("attempt", FieldValue::U64(item.attempt as u64)),
-                            ("stolen", FieldValue::Bool(item.stolen)),
+                            ("attempt", FieldValue::U64(lease.tries as u64)),
+                            ("stolen", FieldValue::Bool(stolen)),
                         ],
                     );
                 }
                 live.push(LiveWorker {
-                    slot,
-                    generation,
-                    range: item.range,
-                    attempt: item.attempt,
-                    stolen: item.stolen,
+                    lease,
                     fenced: false,
                     child,
                     beat_value: None,
-                    beat_changed: now,
+                    beat_changed: Instant::now(),
                 });
             }
 
@@ -962,19 +913,20 @@ impl ProcCampaign {
                     .map_err(CampaignError::Transport)?;
                 if let Some(status) = status {
                     let worker = live.remove(index);
+                    let (slot, generation) = (worker.lease.slot, worker.lease.generation);
                     // Salvage whatever the attempt persisted, clean exit or not;
                     // the merge only fills keys the merged log does not hold.
                     report.salvaged_records +=
-                        salvage_segment(&store, &work.segment(worker.slot, worker.generation))?;
+                        salvage_segment(&store, &work.segment(slot, generation))?;
                     let code = status.code();
-                    let done = read_kv(&work.done(worker.slot, worker.generation)).ok();
+                    let done = read_kv(&work.done(slot, generation)).ok();
                     let completed = code == Some(EXIT_OK) && done.is_some();
                     recorder.event(
                         scope,
                         "worker.exited",
                         &[
-                            ("slot", FieldValue::U64(worker.slot as u64)),
-                            ("generation", FieldValue::U64(worker.generation)),
+                            ("slot", FieldValue::U64(slot as u64)),
+                            ("generation", FieldValue::U64(generation)),
                             // `u64::MAX` encodes "no exit code" (killed by signal).
                             (
                                 "code",
@@ -985,129 +937,67 @@ impl ProcCampaign {
                         ],
                     );
                     if worker.fenced {
-                        // Its range was requeued when the lease was fenced.
+                        // The machine failed the attempt when the lease was fenced.
                         if code == Some(EXIT_FENCED) {
                             report.fenced_exits += 1;
                         }
                     } else if completed {
-                        report.completed += 1;
+                        machine.succeed(&worker.lease);
                         report.worker_evaluations += done
                             .as_ref()
                             .and_then(|kv| kv_number::<usize>(kv, "evaluations"))
                             .unwrap_or(0);
                     } else {
-                        report.failed_attempts += 1;
-                        let next_attempt = worker.attempt + 1;
-                        if next_attempt >= self.policy.max_attempts.max(1) {
-                            if worker.stolen {
-                                shutdown_workers(&mut live);
-                                return Err(CampaignError::RangeAbandoned {
-                                    range: worker.range,
-                                });
-                            }
-                            report.steals += 1;
-                            if !report.dead_slots.contains(&worker.slot) {
-                                report.dead_slots.push(worker.slot);
-                            }
-                            pending.push(PendingRange {
-                                range: worker.range,
-                                attempt: 0,
-                                stolen: true,
-                                ready_at: Instant::now(),
-                            });
+                        let reason = if code == Some(EXIT_EVAL_ERROR) {
+                            FailureReason::EvalError
                         } else {
-                            let ticks = u32::try_from(self.policy.backoff_ticks(worker.attempt))
-                                .unwrap_or(u32::MAX);
-                            pending.push(PendingRange {
-                                range: worker.range,
-                                attempt: next_attempt,
-                                stolen: worker.stolen,
-                                ready_at: Instant::now() + self.tick * ticks,
-                            });
-                        }
+                            FailureReason::ShardDeath
+                        };
+                        stop_if_abandoned(machine.fail(&worker.lease, reason, now()), &mut live)?;
                     }
                     continue;
                 }
-                if live[index].fenced {
-                    index += 1;
+                let worker = &mut live[index];
+                index += 1;
+                if worker.fenced {
                     continue;
                 }
-                let beat_path = work.beat(live[index].slot, live[index].generation);
-                let beat: Option<u64> = read_kv(&beat_path)
-                    .ok()
-                    .and_then(|kv| kv_number(&kv, "batches"));
-                if beat != live[index].beat_value {
-                    live[index].beat_value = beat;
-                    live[index].beat_changed = Instant::now();
-                    index += 1;
+                let beat: Option<u64> =
+                    read_kv(&work.beat(worker.lease.slot, worker.lease.generation))
+                        .ok()
+                        .and_then(|kv| kv_number(&kv, "batches"));
+                if beat != worker.beat_value {
+                    worker.beat_value = beat;
+                    worker.beat_changed = Instant::now();
                     continue;
                 }
-                if live[index].beat_changed.elapsed() < self.stale_after {
-                    index += 1;
+                if worker.beat_changed.elapsed() < self.stale_after {
                     continue;
                 }
-                // The heartbeat went stale: fence the lease.  Bumping the
+                // The heartbeat went stale: fence the lease.  Rotating the
                 // grant's generation is the token rotation — the zombie's next
-                // fence check fails and it abandons; meanwhile its range goes
-                // back to the queue and its partial segment is salvaged now.
-                let slot = live[index].slot;
-                let generation = live[index].generation;
-                let attempt = live[index].attempt;
-                let stolen = live[index].stolen;
-                let range = live[index].range.clone();
-                live[index].fenced = true;
-                slot_gens[slot] += 1;
-                write_atomic(
-                    &work.grant(slot),
-                    &format!(
-                        "gen {}\nstart {}\nend {}\n",
-                        slot_gens[slot], range.start, range.end
-                    ),
-                )
-                .map_err(CampaignError::Transport)?;
+                // fence check fails and it abandons; meanwhile the machine
+                // re-queues its range and its partial segment is salvaged now.
+                worker.fenced = true;
+                let lease = worker.lease.clone();
+                let (new_generation, decision) = machine.fence(&lease, now());
+                write_grant(&work, lease.slot, new_generation, &lease.range)?;
                 report.fenced += 1;
-                report.failed_attempts += 1;
                 recorder.event(
                     scope,
                     "worker.fenced",
                     &[
-                        ("slot", FieldValue::U64(slot as u64)),
-                        ("generation", FieldValue::U64(generation)),
-                        ("new_generation", FieldValue::U64(slot_gens[slot])),
+                        ("slot", FieldValue::U64(lease.slot as u64)),
+                        ("generation", FieldValue::U64(lease.generation)),
+                        ("new_generation", FieldValue::U64(new_generation)),
                     ],
                 );
                 report.salvaged_records +=
-                    salvage_segment(&store, &work.segment(slot, generation))?;
-                let next_attempt = attempt + 1;
-                if next_attempt >= self.policy.max_attempts.max(1) {
-                    if stolen {
-                        shutdown_workers(&mut live);
-                        return Err(CampaignError::RangeAbandoned { range });
-                    }
-                    report.steals += 1;
-                    if !report.dead_slots.contains(&slot) {
-                        report.dead_slots.push(slot);
-                    }
-                    pending.push(PendingRange {
-                        range,
-                        attempt: 0,
-                        stolen: true,
-                        ready_at: Instant::now(),
-                    });
-                } else {
-                    let ticks =
-                        u32::try_from(self.policy.backoff_ticks(attempt)).unwrap_or(u32::MAX);
-                    pending.push(PendingRange {
-                        range,
-                        attempt: next_attempt,
-                        stolen,
-                        ready_at: Instant::now() + self.tick * ticks,
-                    });
-                }
-                index += 1;
+                    salvage_segment(&store, &work.segment(lease.slot, lease.generation))?;
+                stop_if_abandoned(decision, &mut live)?;
             }
 
-            if pending.is_empty() && live.iter().all(|w| w.fenced) {
+            if machine.unfinished().is_none() {
                 if live.is_empty() {
                     break;
                 }
@@ -1125,6 +1015,12 @@ impl ProcCampaign {
             std::thread::sleep(self.poll_interval);
         }
 
+        let log = machine.report(CacheStats::default(), now());
+        report.completed = log.attempts.iter().filter(|a| a.failure.is_none()).count();
+        report.failed_attempts = log.attempts.len() - report.completed;
+        report.steals = log.resilience.steals;
+        report.dead_slots = log.dead_slots;
+        report.elastic_splits = machine.splits;
         store.flush()?;
         // The verification pass doubles as the merge proof: re-running the
         // in-process campaign over the merged store yields the canonical

@@ -1,35 +1,47 @@
-//! The supervised campaign runner: leases, retries with capped backoff, and
-//! work-stealing on top of the sharded scan.
+//! Supervised campaigns: leases, retries with capped backoff, and work
+//! stealing, decided by one state machine and run by two drivers.
 //!
 //! [`ShardedCampaign::run_supervised`] runs the same partitioned exhaustive scan as
-//! [`ShardedCampaign::run`], but every shard attempt executes under supervision:
+//! [`ShardedCampaign::run`] on rayon workers; [`crate::proc`] runs it on a fleet of
+//! worker processes.  Both are thin drivers around `Supervisor`, a pure state
+//! machine: no I/O, no threads, and no clock of its own (the driver passes `now`
+//! in ticks).  Calls come in — assign work to slot `s` at tick `t`, lease
+//! succeeded, lease failed, lease fenced, the fleet now has `n` slots — and
+//! decisions go out: a lease to run, a retry with its `ready_at`, a steal, an
+//! abandon, or "ignored" when a fenced holder reports late.  The machine owns the
+//! range queue, the per-slot attempt counters (the [`FaultPlan::fate`] key), the
+//! per-slot generations (the fencing token), every [`RetryPolicy`] decision, and
+//! the attempt log behind [`SupervisionReport`].  Its rules, the same for both
+//! drivers:
 //!
-//! * **Leases + logical clock.**  A shared logical clock ticks once per scan batch;
-//!   each worker renews a per-slot lease on every tick (the heartbeat).  A worker
-//!   that stalls ([`crate::fault::FaultKind::Stall`]) stops renewing, observes its
-//!   own expiry once the clock passes its lease, and fences itself off — emitting
-//!   `shard.lease_expired` and failing the attempt.
-//! * **Retries with capped exponential backoff.**  A failed attempt is retried up
-//!   to [`RetryPolicy::max_attempts`] times, waiting
-//!   `min(backoff_base · 2^k, backoff_cap)` logical ticks between tries and
-//!   emitting `shard.retried`.
-//! * **Work stealing.**  A shard that exhausts its retries is dead; its range goes
-//!   to a shared steal queue, and surviving shards (or, as a last resort, the
-//!   coordinator itself after the parallel join) take it over, emitting
-//!   `shard.stolen`.
-//! * **Idempotent resume.**  Every attempt scans store-first: persisted keys are
-//!   answered by the store and **never re-evaluated**, so a retry or a thief only
-//!   pays for the records the fault actually lost.
+//! * **A retry stays on its slot.**  A failed attempt is retried up to
+//!   [`RetryPolicy::max_attempts`] times by the slot that failed it, after
+//!   `min(backoff_base · 2^k, backoff_cap)` ticks; the slot takes nothing else
+//!   meanwhile, so both drivers see the same `(slot, attempt)` fault keys.
+//! * **A slot that exhausts its range is dead.**  It takes no more work, and the
+//!   range waits for a live slot to steal it — or is abandoned when no other
+//!   live slot is left.
+//! * **A stolen range that exhausts its retries is abandoned**
+//!   ([`CampaignError::RangeAbandoned`]).  One steal per range bounds the work
+//!   whatever the fault plan, so every campaign terminates.
+//! * **A fenced holder is ignored.**  Fencing rotates the slot's generation; a
+//!   report carrying the old lease changes nothing.
+//!
+//! The thread driver keeps a shared logical clock that ticks once per scan batch
+//! (the heartbeat).  A stalled worker ([`crate::fault::FaultKind::Stall`]) lets
+//! its lease lapse, observes the expiry and fails (`shard.lease_expired`); a retry
+//! advances the clock by its backoff (`shard.retried`); a steal is announced by
+//! the thief (`shard.stolen`), and the coordinator itself finishes whatever is
+//! still queued after the join, as the extra slot `shard_count`.  Every attempt
+//! scans store-first: persisted keys are answered by the store and **never
+//! re-evaluated**, so a retry or a thief only pays for what the fault lost.
 //!
 //! The hard invariant carries over from the coordinator: under *any* injected
-//! [`FaultPlan`] a supervised campaign converges to the bit-identical
-//! `(best_config, best_energy, best_index)` of the fault-free run.  Faults only
-//! decide *who* evaluates a configuration and *when* — never the value, and never
-//! the `(energy, index)` merge order.  Termination is structural: the plan is
-//! finite and every failed attempt consumes a scheduled event, so after finitely
-//! many failures every range completes.
+//! [`FaultPlan`] that does not exhaust a stolen range, a supervised campaign
+//! converges to the bit-identical `(best_config, best_energy, best_index)` of the
+//! fault-free run.  Faults only decide *who* evaluates a configuration and *when*
+//! — never the value, and never the `(energy, index)` merge order.
 
-use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -142,20 +154,300 @@ pub struct SupervisedOutcome<C> {
     pub supervision: SupervisionReport,
 }
 
-/// A range waiting on the steal queue.
-struct StolenRange {
-    /// Plan position of the range (reports keep the plan's shard numbering).
+/// A range waiting for its next attempt.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Pending {
     plan_shard: usize,
-    /// The slot that abandoned it.
-    owner: usize,
     range: Range<usize>,
+    /// Failed attempts its current owner already spent on it.
+    tries: usize,
+    stolen_from: Option<usize>,
+    /// The only slot that may take it: a pinned plan shard's, or a retry's.
+    slot: Option<usize>,
+    /// First tick at which it may start.
+    ready_at: u64,
 }
 
-/// One completed scan of a range.
-struct ScanSuccess {
-    best: Option<(usize, f64)>,
-    requests: usize,
-    stats: CacheStats,
+/// One granted attempt, and the token every report about it carries.
+#[derive(Debug, Clone, PartialEq, Eq)]
+#[cfg_attr(test, derive(Hash))]
+pub(crate) struct Lease {
+    pub(crate) slot: usize,
+    /// The slot's generation at the grant: the fencing token.
+    pub(crate) generation: u64,
+    /// The slot's cumulative attempt counter: the [`FaultPlan::fate`] key.
+    pub(crate) attempt: usize,
+    pub(crate) plan_shard: usize,
+    pub(crate) range: Range<usize>,
+    /// Failed attempts the range had under its current owner before this one.
+    pub(crate) tries: usize,
+    pub(crate) stolen_from: Option<usize>,
+}
+
+/// The machine's answer to a failed or fenced attempt.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum Decision {
+    /// The same slot retries the range once the clock reaches `ready_at`.
+    Retry { backoff: u64, ready_at: u64 },
+    /// The slot is dead; its range waits for a live slot to steal it.
+    Steal,
+    /// The range cannot be finished, so neither can the campaign.
+    Abandon(Range<usize>),
+    /// The report came from a fenced holder and changed nothing.
+    Ignored,
+}
+
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[cfg_attr(test, derive(Hash))]
+struct SlotBook {
+    generation: u64,
+    attempts: usize,
+    held: Option<Lease>,
+    dead: bool,
+}
+
+/// The supervision state machine both campaign drivers run on (see the module
+/// docs for its rules).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Supervisor {
+    policy: RetryPolicy,
+    queue: Vec<Pending>,
+    slots: Vec<SlotBook>,
+    fleet: usize,
+    /// Queued ranges at least this long are halved to feed idle slots.
+    split_min: Option<usize>,
+    /// Ranges split so far.
+    pub(crate) splits: usize,
+    resilience: ResilienceStats,
+    /// Finished attempts, kept in `(slot, attempt)` order.
+    log: Vec<AttemptRecord>,
+}
+
+impl Supervisor {
+    /// A machine over `ranges` for a fleet of `slots`; with `pinned`, range `i`
+    /// belongs to slot `i`, otherwise any slot may take any range.
+    pub(crate) fn new(
+        policy: RetryPolicy,
+        ranges: Vec<Range<usize>>,
+        pinned: bool,
+        slots: usize,
+    ) -> Self {
+        let queue = (0..)
+            .zip(ranges)
+            .map(|(plan_shard, range)| Pending {
+                plan_shard,
+                range,
+                tries: 0,
+                stolen_from: None,
+                slot: pinned.then_some(plan_shard),
+                ready_at: 0,
+            })
+            .collect();
+        Supervisor {
+            policy,
+            queue,
+            slots: vec![SlotBook::default(); slots],
+            fleet: slots,
+            split_min: None,
+            splits: 0,
+            resilience: ResilienceStats::default(),
+            log: Vec::new(),
+        }
+    }
+
+    /// Halve queued ranges of at least `min_len` whenever idle slots outnumber
+    /// them (checked on every [`Supervisor::resize`]).
+    pub(crate) fn with_splits(mut self, min_len: usize) -> Self {
+        self.split_min = Some(min_len.max(2));
+        self
+    }
+
+    /// The fleet now has `slots` slots: slots that left release their pinned
+    /// work, and queued ranges are split to feed idle capacity.
+    pub(crate) fn resize(&mut self, slots: usize) {
+        self.fleet = slots;
+        if self.slots.len() < slots {
+            self.slots.resize(slots, SlotBook::default());
+        }
+        for pending in &mut self.queue {
+            if pending.slot.is_some_and(|slot| slot >= slots) {
+                pending.slot = None;
+            }
+        }
+        let Some(min_len) = self.split_min else {
+            return;
+        };
+        let idle = self.slots[..slots]
+            .iter()
+            .filter(|book| !book.dead && book.held.is_none())
+            .count();
+        while idle > self.queue.len() {
+            let Some(pending) = self
+                .queue
+                .iter_mut()
+                .filter(|p| p.slot.is_none() && p.range.len() >= min_len)
+                .max_by_key(|p| p.range.len())
+            else {
+                break;
+            };
+            let mid = pending.range.start + pending.range.len() / 2;
+            let tail = Pending {
+                range: mid..pending.range.end,
+                tries: 0,
+                ..pending.clone()
+            };
+            pending.range.end = mid;
+            self.queue.push(tail);
+            self.splits += 1;
+        }
+    }
+
+    /// Assign work to `slot` at tick `now`: its pinned range or retry once ready,
+    /// otherwise the first ready unpinned range.  `None` while the slot is
+    /// outside the fleet, dead, busy, or has nothing ready.
+    pub(crate) fn assign(&mut self, slot: usize, now: u64) -> Option<Lease> {
+        let book = self.slots.get_mut(slot)?;
+        if slot >= self.fleet || book.dead || book.held.is_some() {
+            return None;
+        }
+        let pos = match self.queue.iter().position(|p| p.slot == Some(slot)) {
+            Some(pos) => pos,
+            None => self.queue.iter().position(|p| p.slot.is_none())?,
+        };
+        if self.queue[pos].ready_at > now {
+            return None;
+        }
+        let pending = self.queue.remove(pos);
+        book.generation += 1;
+        let lease = Lease {
+            slot,
+            generation: book.generation,
+            attempt: book.attempts,
+            plan_shard: pending.plan_shard,
+            range: pending.range,
+            tries: pending.tries,
+            stolen_from: pending.stolen_from,
+        };
+        book.attempts += 1;
+        book.held = Some(lease.clone());
+        self.resilience.attempts += 1;
+        Some(lease)
+    }
+
+    /// Lease `lease` succeeded; `false` when its holder was fenced (ignored).
+    pub(crate) fn succeed(&mut self, lease: &Lease) -> bool {
+        self.release(lease, None)
+    }
+
+    /// Lease `lease` failed for `reason` at tick `now`.
+    pub(crate) fn fail(&mut self, lease: &Lease, reason: FailureReason, now: u64) -> Decision {
+        if !self.release(lease, Some(reason)) {
+            return Decision::Ignored;
+        }
+        if reason == FailureReason::LeaseExpired {
+            self.resilience.lease_expiries += 1;
+        }
+        let mut next = Pending {
+            plan_shard: lease.plan_shard,
+            range: lease.range.clone(),
+            tries: lease.tries + 1,
+            stolen_from: lease.stolen_from,
+            slot: Some(lease.slot),
+            ready_at: now,
+        };
+        let decision = if next.tries < self.policy.max_attempts.max(1) {
+            let backoff = self.policy.backoff_ticks(lease.tries);
+            next.ready_at = now.saturating_add(backoff);
+            self.resilience.retries += 1;
+            Decision::Retry {
+                backoff,
+                ready_at: next.ready_at,
+            }
+        } else if lease.stolen_from.is_some() || !self.live_slot_besides(lease.slot) {
+            return Decision::Abandon(next.range);
+        } else {
+            if let Some(book) = self.slots.get_mut(lease.slot) {
+                book.dead = true;
+            }
+            self.resilience.steals += 1;
+            next.tries = 0;
+            next.stolen_from = Some(lease.slot);
+            next.slot = None;
+            Decision::Steal
+        };
+        self.queue.push(next);
+        decision
+    }
+
+    /// Fence `lease` at tick `now` (its holder stopped heartbeating): rotate the
+    /// slot's generation and fail the attempt as [`FailureReason::LeaseExpired`].
+    /// Returns the slot's new generation with the decision.
+    pub(crate) fn fence(&mut self, lease: &Lease, now: u64) -> (u64, Decision) {
+        let Some(book) = self.slots.get_mut(lease.slot) else {
+            return (0, Decision::Ignored);
+        };
+        if book.held.as_ref() == Some(lease) {
+            book.generation += 1;
+        }
+        let generation = book.generation;
+        (
+            generation,
+            self.fail(lease, FailureReason::LeaseExpired, now),
+        )
+    }
+
+    /// End `lease` and log the attempt; `false` when it is not the slot's live
+    /// lease (a fenced or finished holder).
+    fn release(&mut self, lease: &Lease, failure: Option<FailureReason>) -> bool {
+        match self.slots.get_mut(lease.slot) {
+            Some(book) if book.held.as_ref() == Some(lease) => book.held = None,
+            _ => return false,
+        }
+        let key = (lease.slot, lease.attempt);
+        let pos = self.log.partition_point(|a| (a.slot, a.attempt) < key);
+        self.log.insert(
+            pos,
+            AttemptRecord {
+                slot: lease.slot,
+                attempt: lease.attempt,
+                range: lease.range.clone(),
+                stolen_from: lease.stolen_from,
+                failure,
+            },
+        );
+        true
+    }
+
+    fn live_slot_besides(&self, slot: usize) -> bool {
+        (0..self.fleet)
+            .any(|other| other != slot && self.slots.get(other).is_some_and(|book| !book.dead))
+    }
+
+    /// The first range not completed yet (queued or held), if any.
+    pub(crate) fn unfinished(&self) -> Option<Range<usize>> {
+        let held = self.slots.iter().filter_map(|book| book.held.as_ref());
+        self.queue
+            .iter()
+            .map(|p| p.range.clone())
+            .chain(held.map(|lease| lease.range.clone()))
+            .next()
+    }
+
+    /// The attempt log as a [`SupervisionReport`], completed by the driver's
+    /// store counters of failed attempts and its final clock.
+    pub(crate) fn report(&self, failed_stats: CacheStats, final_clock: u64) -> SupervisionReport {
+        SupervisionReport {
+            resilience: self.resilience,
+            failed_stats,
+            attempts: self.log.clone(),
+            dead_slots: (0..)
+                .zip(&self.slots)
+                .filter(|(_, book)| book.dead)
+                .map(|(slot, _)| slot)
+                .collect(),
+            final_clock,
+        }
+    }
 }
 
 /// Why one scan attempt stopped early.
@@ -166,37 +458,15 @@ enum AttemptError {
     Fatal(CampaignError),
 }
 
-/// Mutable per-worker bookkeeping.
-struct SlotState {
-    slot: usize,
-    attempt_counter: usize,
-    attempts: Vec<AttemptRecord>,
-    resilience: ResilienceStats,
-    failed_stats: CacheStats,
-    dead: bool,
-    reports: Vec<ShardReport>,
-}
-
-impl SlotState {
-    fn new(slot: usize) -> Self {
-        SlotState {
-            slot,
-            attempt_counter: 0,
-            attempts: Vec::new(),
-            resilience: ResilienceStats::default(),
-            failed_stats: CacheStats::default(),
-            dead: false,
-            reports: Vec::new(),
-        }
-    }
-}
-
-/// Shared supervision state: the logical clock, the per-slot leases, and the steal
-/// queue, plus everything read-only the workers need.
-struct Shared<'a> {
+/// Everything a supervised worker needs: the space, the store-backed evaluation
+/// path, the logical clock, and the state machine the workers share.
+struct Ctx<'a, S: SearchSpace, O: ?Sized, R: ?Sized> {
+    space: &'a S,
+    materialized: Option<&'a [S::Config]>,
+    objective: &'a O,
+    store: &'a R,
     clock: AtomicU64,
-    leases: Vec<AtomicU64>,
-    queue: Mutex<VecDeque<StolenRange>>,
+    machine: Mutex<Supervisor>,
     faults: &'a FaultPlan,
     policy: &'a RetryPolicy,
     recorder: &'a dyn Recorder,
@@ -204,122 +474,21 @@ struct Shared<'a> {
     batch_size: usize,
 }
 
-impl Shared<'_> {
-    /// Advance the logical clock by `ticks`, returning the new time.
-    fn tick(&self, ticks: u64) -> u64 {
-        self.clock
-            .fetch_add(ticks, Ordering::Relaxed)
-            .wrapping_add(ticks)
+impl<S: SearchSpace, O: ?Sized, R: ?Sized> Ctx<'_, S, O, R> {
+    /// Advance the logical clock by `ticks`.
+    fn tick(&self, ticks: u64) {
+        self.clock.fetch_add(ticks, Ordering::Relaxed);
     }
 
-    fn renew_lease(&self, slot: usize, now: u64) {
-        if let Some(lease) = self.leases.get(slot) {
-            lease.store(
-                now.saturating_add(self.policy.lease_ticks),
-                Ordering::Relaxed,
-            );
-        }
+    fn now(&self) -> u64 {
+        self.clock.load(Ordering::Relaxed)
     }
 
-    fn lease_expired(&self, slot: usize) -> bool {
-        match self.leases.get(slot) {
-            Some(lease) => self.clock.load(Ordering::Relaxed) > lease.load(Ordering::Relaxed),
-            None => true,
-        }
-    }
-
-    fn pop_stolen(&self) -> Option<StolenRange> {
-        lock(&self.queue).pop_front()
-    }
-
-    fn push_stolen(&self, stolen: StolenRange) {
-        lock(&self.queue).push_back(stolen);
-    }
-
-    fn emit_shard_started(&self, slot: usize, range: &Range<usize>) {
+    fn emit(&self, kind: &str, fields: &[(&str, FieldValue)]) {
         if self.recorder.enabled() {
-            self.recorder.event(
-                self.scope,
-                "shard_started",
-                &[
-                    ("shard", FieldValue::U64(slot as u64)),
-                    ("start", FieldValue::U64(range.start as u64)),
-                    ("len", FieldValue::U64(range.len() as u64)),
-                ],
-            );
+            self.recorder.event(self.scope, kind, fields);
         }
     }
-
-    fn emit_shard_completed(&self, report: &ShardReport) {
-        if self.recorder.enabled() {
-            self.recorder.event(
-                self.scope,
-                "shard_completed",
-                &[
-                    ("shard", FieldValue::U64(report.shard_index as u64)),
-                    ("best_index", FieldValue::U64(report.best_index as u64)),
-                    ("best_energy", FieldValue::F64(report.best_energy)),
-                    ("evaluations", FieldValue::U64(report.evaluations as u64)),
-                    ("hits", FieldValue::U64(report.stats.hits as u64)),
-                    ("misses", FieldValue::U64(report.stats.misses as u64)),
-                ],
-            );
-        }
-    }
-
-    fn emit_lease_expired(&self, slot: usize, attempt: usize) {
-        if self.recorder.enabled() {
-            self.recorder.event(
-                self.scope,
-                "shard.lease_expired",
-                &[
-                    ("shard", FieldValue::U64(slot as u64)),
-                    ("attempt", FieldValue::U64(attempt as u64)),
-                    ("clock", FieldValue::U64(self.clock.load(Ordering::Relaxed))),
-                ],
-            );
-        }
-    }
-
-    fn emit_retried(&self, slot: usize, attempt: usize, backoff: u64) {
-        if self.recorder.enabled() {
-            self.recorder.event(
-                self.scope,
-                "shard.retried",
-                &[
-                    ("shard", FieldValue::U64(slot as u64)),
-                    ("attempt", FieldValue::U64(attempt as u64)),
-                    ("backoff_ticks", FieldValue::U64(backoff)),
-                ],
-            );
-        }
-    }
-
-    fn emit_stolen(&self, thief: usize, stolen: &StolenRange) {
-        if self.recorder.enabled() {
-            self.recorder.event(
-                self.scope,
-                "shard.stolen",
-                &[
-                    ("shard", FieldValue::U64(stolen.plan_shard as u64)),
-                    ("owner", FieldValue::U64(stolen.owner as u64)),
-                    ("thief", FieldValue::U64(thief as u64)),
-                    ("start", FieldValue::U64(stolen.range.start as u64)),
-                    ("len", FieldValue::U64(stolen.range.len() as u64)),
-                ],
-            );
-        }
-    }
-}
-
-/// Everything a supervised worker needs: the space, the store-backed evaluation
-/// path, and the shared supervision state.
-struct Ctx<'a, S: SearchSpace, O: ?Sized, R: ?Sized> {
-    space: &'a S,
-    materialized: Option<&'a [S::Config]>,
-    objective: &'a O,
-    store: &'a R,
-    shared: Shared<'a>,
 }
 
 impl<S, O, R> Ctx<'_, S, O, R>
@@ -347,17 +516,12 @@ where
             .collect()
     }
 
-    /// One full scan of `range` as `slot`'s `attempt`-th attempt: store-first
+    /// One full scan of the leased range as the lease's attempt: store-first
     /// lookups, fallible evaluation, batch-granular heartbeat, and the attempt's
     /// scheduled fault routed through the wrappers.
-    fn scan_attempt(
-        &self,
-        slot: usize,
-        attempt: usize,
-        range: &Range<usize>,
-    ) -> Result<ScanSuccess, AttemptError> {
-        let shared = &self.shared;
-        let fate = shared.faults.fate(slot, attempt);
+    fn scan_attempt(&self, lease: &Lease) -> Result<ShardReport, AttemptError> {
+        let range = &lease.range;
+        let fate = self.faults.fate(lease.slot, lease.attempt);
         let faulty_objective = FaultyObjective::new(self.objective, fate);
         let faulty_store = FaultyStore::new(self.store, fate);
 
@@ -367,11 +531,10 @@ where
         let mut start = range.start;
         let mut batch_index = 0usize;
         while start < range.end {
-            let end = start.saturating_add(shared.batch_size).min(range.end);
+            let end = start.saturating_add(self.batch_size).min(range.end);
 
-            // heartbeat: tick the clock, renew this slot's lease
-            let now = shared.tick(1);
-            shared.renew_lease(slot, now);
+            // heartbeat: one tick per batch renews this slot's lease
+            self.tick(1);
 
             // scheduled between-batch faults
             if let Some(event) = fate {
@@ -384,16 +547,16 @@ where
                             // a stalled worker stops heartbeating; once the clock
                             // passes its lease it observes its own expiry and
                             // fences itself off
-                            shared.tick(shared.policy.lease_ticks.saturating_add(1));
-                            if shared.lease_expired(slot) {
-                                shared.emit_lease_expired(slot, attempt);
-                                return Err(AttemptError::Fault(
-                                    FailureReason::LeaseExpired,
-                                    stats,
-                                ));
-                            }
-                            // the clock only moves forward, so this is unreachable
-                            // in practice; a lease that somehow held keeps scanning
+                            self.tick(self.policy.lease_ticks.saturating_add(1));
+                            self.emit(
+                                "shard.lease_expired",
+                                &[
+                                    ("shard", FieldValue::U64(lease.slot as u64)),
+                                    ("attempt", FieldValue::U64(lease.attempt as u64)),
+                                    ("clock", FieldValue::U64(self.now())),
+                                ],
+                            );
+                            return Err(AttemptError::Fault(FailureReason::LeaseExpired, stats));
                         }
                         FaultKind::EvalError | FaultKind::TornWrite => {}
                     }
@@ -446,115 +609,94 @@ where
             start = end;
             batch_index += 1;
         }
-        Ok(ScanSuccess {
-            best,
-            requests,
+        let (best_index, best_energy) =
+            best.ok_or(AttemptError::Fatal(CampaignError::EmptySpace))?;
+        Ok(ShardReport {
+            shard_index: lease.plan_shard,
+            range: range.clone(),
+            best_index,
+            best_energy,
+            evaluations: requests,
             stats,
         })
     }
 
-    /// Run `range` to completion for `slot`, retrying with capped backoff.
-    /// `Ok(None)` means the retry budget is exhausted (the caller queues the range
-    /// for stealing).
-    fn run_range(
-        &self,
-        state: &mut SlotState,
-        plan_shard: usize,
-        range: Range<usize>,
-        stolen_from: Option<usize>,
-    ) -> Result<Option<ShardReport>, CampaignError> {
-        let shared = &self.shared;
-        let mut tries = 0usize;
+    /// Run `slot` until the machine has nothing ready for it: its own plan
+    /// range, its retries, then ranges stolen from dead slots.  Returns the
+    /// completed ranges and the store counters of the failed attempts.
+    fn work(&self, slot: usize) -> Result<(Vec<ShardReport>, CacheStats), CampaignError> {
+        let mut reports = Vec::new();
+        let mut failed_stats = CacheStats::default();
         loop {
-            let attempt = state.attempt_counter;
-            state.attempt_counter += 1;
-            tries += 1;
-            state.resilience.attempts += 1;
-            match self.scan_attempt(state.slot, attempt, &range) {
-                Ok(success) => {
-                    state.attempts.push(AttemptRecord {
-                        slot: state.slot,
-                        attempt,
-                        range: range.clone(),
-                        stolen_from,
-                        failure: None,
-                    });
-                    let (best_index, best_energy) = match success.best {
-                        Some(best) => best,
-                        // plan ranges are never empty, but an empty steal is not
-                        // worth a panic either
-                        None => return Ok(None),
-                    };
-                    return Ok(Some(ShardReport {
-                        shard_index: plan_shard,
-                        range,
-                        best_index,
-                        best_energy,
-                        evaluations: success.requests,
-                        stats: success.stats,
-                    }));
+            let now = self.now();
+            let Some(lease) = lock(&self.machine).assign(slot, now) else {
+                return Ok((reports, failed_stats));
+            };
+            let (start, len) = (lease.range.start as u64, lease.range.len() as u64);
+            match (lease.tries, lease.stolen_from) {
+                (0, None) => self.emit(
+                    "shard_started",
+                    &[
+                        ("shard", FieldValue::U64(slot as u64)),
+                        ("start", FieldValue::U64(start)),
+                        ("len", FieldValue::U64(len)),
+                    ],
+                ),
+                (0, Some(owner)) => self.emit(
+                    "shard.stolen",
+                    &[
+                        ("shard", FieldValue::U64(lease.plan_shard as u64)),
+                        ("owner", FieldValue::U64(owner as u64)),
+                        ("thief", FieldValue::U64(slot as u64)),
+                        ("start", FieldValue::U64(start)),
+                        ("len", FieldValue::U64(len)),
+                    ],
+                ),
+                _ => {}
+            }
+            match self.scan_attempt(&lease) {
+                Ok(report) => {
+                    lock(&self.machine).succeed(&lease);
+                    if lease.stolen_from.is_none() {
+                        self.emit(
+                            "shard_completed",
+                            &[
+                                ("shard", FieldValue::U64(report.shard_index as u64)),
+                                ("best_index", FieldValue::U64(report.best_index as u64)),
+                                ("best_energy", FieldValue::F64(report.best_energy)),
+                                ("evaluations", FieldValue::U64(report.evaluations as u64)),
+                                ("hits", FieldValue::U64(report.stats.hits as u64)),
+                                ("misses", FieldValue::U64(report.stats.misses as u64)),
+                            ],
+                        );
+                    }
+                    reports.push(report);
                 }
                 Err(AttemptError::Fatal(error)) => return Err(error),
                 Err(AttemptError::Fault(reason, partial)) => {
-                    state.attempts.push(AttemptRecord {
-                        slot: state.slot,
-                        attempt,
-                        range: range.clone(),
-                        stolen_from,
-                        failure: Some(reason),
-                    });
-                    state.failed_stats += partial;
-                    if reason == FailureReason::LeaseExpired {
-                        state.resilience.lease_expiries += 1;
+                    failed_stats += partial;
+                    let decision = lock(&self.machine).fail(&lease, reason, self.now());
+                    match decision {
+                        Decision::Retry { backoff, .. } => {
+                            // waiting out the backoff moves the clock past `ready_at`
+                            self.tick(backoff);
+                            self.emit(
+                                "shard.retried",
+                                &[
+                                    ("shard", FieldValue::U64(slot as u64)),
+                                    ("attempt", FieldValue::U64(lease.attempt as u64 + 1)),
+                                    ("backoff_ticks", FieldValue::U64(backoff)),
+                                ],
+                            );
+                        }
+                        Decision::Abandon(range) => {
+                            return Err(CampaignError::RangeAbandoned { range })
+                        }
+                        Decision::Steal | Decision::Ignored => {}
                     }
-                    if tries >= shared.policy.max_attempts.max(1) {
-                        return Ok(None);
-                    }
-                    state.resilience.retries += 1;
-                    let backoff = shared.policy.backoff_ticks(tries - 1);
-                    shared.tick(backoff);
-                    shared.emit_retried(state.slot, state.attempt_counter, backoff);
                 }
             }
         }
-    }
-
-    /// One worker: scan its own plan range, then drain the steal queue.
-    fn work_slot(&self, slot: usize, plan: &ShardPlan) -> Result<SlotState, CampaignError> {
-        let mut state = SlotState::new(slot);
-        let own = plan.range(slot);
-        self.shared.emit_shard_started(slot, &own);
-        match self.run_range(&mut state, slot, own.clone(), None)? {
-            Some(report) => {
-                self.shared.emit_shard_completed(&report);
-                state.reports.push(report);
-            }
-            None => {
-                state.dead = true;
-                self.shared.push_stolen(StolenRange {
-                    plan_shard: slot,
-                    owner: slot,
-                    range: own,
-                });
-            }
-        }
-        if !state.dead {
-            while let Some(stolen) = self.shared.pop_stolen() {
-                state.resilience.steals += 1;
-                self.shared.emit_stolen(slot, &stolen);
-                match self.run_range(
-                    &mut state,
-                    stolen.plan_shard,
-                    stolen.range.clone(),
-                    Some(stolen.owner),
-                )? {
-                    Some(report) => state.reports.push(report),
-                    // hand it back: another survivor or the final drain takes it
-                    None => self.shared.push_stolen(stolen),
-                }
-            }
-        }
-        Ok(state)
     }
 }
 
@@ -567,15 +709,14 @@ impl ShardedCampaign {
     ///
     /// The merged `(best_config, best_energy, best_index)` is **bit-identical** to
     /// the fault-free [`ShardedCampaign::run`] for every plan, policy, shard count
-    /// and batch size; keys persisted in `store` are never re-evaluated, so
-    /// recovery only pays for what a fault actually lost.
+    /// and batch size that the campaign survives; keys persisted in `store` are
+    /// never re-evaluated, so recovery only pays for what a fault actually lost.
     ///
     /// # Errors
     ///
     /// The same conditions as [`ShardedCampaign::run`], plus
-    /// [`CampaignError::RangeAbandoned`] as a defensive backstop if a range could
-    /// not be completed by any worker or the coordinator (structurally impossible
-    /// under a finite plan).
+    /// [`CampaignError::RangeAbandoned`] when a stolen range exhausts its retries
+    /// too.
     pub fn run_supervised<S, O, R>(
         &self,
         space: &S,
@@ -642,80 +783,51 @@ impl ShardedCampaign {
             materialized: materialized.as_deref(),
             objective,
             store,
-            shared: Shared {
-                clock: AtomicU64::new(0),
-                // one lease per worker slot plus one for the coordinator's drain
-                leases: (0..=slots).map(|_| AtomicU64::new(0)).collect(),
-                queue: Mutex::new(VecDeque::new()),
-                faults,
-                policy,
-                recorder,
-                scope,
-                batch_size: self.batch_size.max(1),
-            },
+            clock: AtomicU64::new(0),
+            // one slot per plan shard, which owns it, plus the coordinator's
+            // final drain
+            machine: Mutex::new(Supervisor::new(*policy, plan.ranges(), true, slots + 1)),
+            faults,
+            policy,
+            recorder,
+            scope,
+            batch_size: self.batch_size.max(1),
         };
 
-        let slot_results: Vec<Result<SlotState, CampaignError>> = (0..slots)
+        let slot_results: Vec<Result<_, CampaignError>> = (0..slots)
             .collect::<Vec<_>>()
             .into_par_iter()
-            .map(|slot| ctx.work_slot(slot, &plan))
+            .map(|slot| ctx.work(slot))
             .collect();
-        let mut states = Vec::with_capacity(slots + 1);
-        for result in slot_results {
-            states.push(result?);
-        }
-
+        let mut outputs = slot_results.into_iter().collect::<Result<Vec<_>, _>>()?;
         // final drain: ranges still queued (e.g. the last worker died after every
         // survivor already returned) are completed by the coordinator itself,
         // running as the extra worker slot `slots`
-        let mut drain = SlotState::new(slots);
-        let mut drain_failures = 0usize;
-        while let Some(stolen) = ctx.shared.pop_stolen() {
-            drain.resilience.steals += 1;
-            ctx.shared.emit_stolen(slots, &stolen);
-            match self.drain_range(&ctx, &mut drain, &stolen)? {
-                Some(report) => drain.reports.push(report),
-                None => {
-                    // every failure consumes a scheduled fault event, so more
-                    // failures than events means the invariant broke — give up
-                    // loudly instead of spinning
-                    drain_failures += ctx.shared.policy.max_attempts.max(1);
-                    if drain_failures > ctx.shared.faults.len() {
-                        return Err(CampaignError::RangeAbandoned {
-                            range: stolen.range,
-                        });
-                    }
-                    ctx.shared.push_stolen(stolen);
-                }
-            }
+        outputs.push(ctx.work(slots)?);
+        if let Some(range) = lock(&ctx.machine).unfinished() {
+            return Err(CampaignError::RangeAbandoned { range });
         }
-        let final_clock = ctx.shared.clock.load(Ordering::Relaxed);
-        states.push(drain);
+        let (reports, failed): (Vec<Vec<ShardReport>>, Vec<CacheStats>) =
+            outputs.into_iter().unzip();
 
         // reports in plan order (one completed range per plan shard)
-        let mut reports: Vec<ShardReport> = states
-            .iter()
-            .flat_map(|state| state.reports.iter().cloned())
-            .collect();
+        let mut reports: Vec<ShardReport> = reports.into_iter().flatten().collect();
         reports.sort_by_key(|report| report.range.start);
         let (best_index, best_energy) = merge_shard_bests(reports.iter().map(ShardReport::best))
             .ok_or(CampaignError::EmptySpace)?;
         let stats: CacheStats = reports.iter().map(|report| report.stats).sum();
-        let failed_stats: CacheStats = states.iter().map(|state| state.failed_stats).sum();
-        let resilience: ResilienceStats = states.iter().map(|state| state.resilience).sum();
-        if recorder.enabled() {
-            recorder.event(
-                scope,
-                "merged",
-                &[
-                    ("shards", FieldValue::U64(reports.len() as u64)),
-                    ("best_index", FieldValue::U64(best_index as u64)),
-                    ("best_energy", FieldValue::F64(best_energy)),
-                    ("hits", FieldValue::U64(stats.hits as u64)),
-                    ("misses", FieldValue::U64(stats.misses as u64)),
-                ],
-            );
-        }
+        let failed_stats: CacheStats = failed.into_iter().sum();
+        let supervision = lock(&ctx.machine).report(failed_stats, ctx.now());
+        ctx.emit(
+            "merged",
+            &[
+                ("shards", FieldValue::U64(reports.len() as u64)),
+                ("best_index", FieldValue::U64(best_index as u64)),
+                ("best_energy", FieldValue::F64(best_energy)),
+                ("hits", FieldValue::U64(stats.hits as u64)),
+                ("misses", FieldValue::U64(stats.misses as u64)),
+            ],
+        );
         // the audit trail records everything that ran, failed attempts included
         store.record_stats(stats + failed_stats);
         store.flush()?;
@@ -733,17 +845,6 @@ impl ShardedCampaign {
                 .ok_or(CampaignError::MissingConfig { index: best_index })?,
         };
 
-        let mut attempts: Vec<AttemptRecord> = states
-            .iter()
-            .flat_map(|state| state.attempts.iter().cloned())
-            .collect();
-        attempts.sort_by_key(|a| (a.slot, a.attempt));
-        let dead_slots: Vec<usize> = states
-            .iter()
-            .filter(|state| state.dead)
-            .map(|state| state.slot)
-            .collect();
-
         Ok(SupervisedOutcome {
             outcome: CampaignOutcome {
                 best_config,
@@ -753,36 +854,8 @@ impl ShardedCampaign {
                 stats,
                 shards: reports,
             },
-            supervision: SupervisionReport {
-                resilience,
-                failed_stats,
-                attempts,
-                dead_slots,
-                final_clock,
-            },
+            supervision,
         })
-    }
-
-    /// One coordinator-drain pass over a stolen range (split out so the generic
-    /// bounds stay in one place).
-    fn drain_range<S, O, R>(
-        &self,
-        ctx: &Ctx<'_, S, O, R>,
-        drain: &mut SlotState,
-        stolen: &StolenRange,
-    ) -> Result<Option<ShardReport>, CampaignError>
-    where
-        S: SearchSpace + Sync,
-        S::Config: Clone + Send + Sync,
-        O: Objective<S::Config> + Sync,
-        R: ResultStore<S::Config> + Sync,
-    {
-        ctx.run_range(
-            drain,
-            stolen.plan_shard,
-            stolen.range.clone(),
-            Some(stolen.owner),
-        )
     }
 }
 
@@ -791,6 +864,7 @@ mod tests {
     use super::*;
     use crate::fault::FaultEvent;
     use crate::store::MemoryStore;
+    use std::collections::HashMap;
     use wd_opt::space::GridSpace;
 
     fn bowl(config: &(u32, u32)) -> f64 {
@@ -982,5 +1056,269 @@ mod tests {
                 "attempts are sorted and unique per (slot, attempt)"
             );
         }
+    }
+
+    /// One node of the exploration: the machine, the tick, the faults the path
+    /// may still inject, and every lease fenced so far (its holder may report
+    /// at any later time).
+    #[derive(Debug, Clone)]
+    struct World {
+        machine: Supervisor,
+        now: u64,
+        faults_left: usize,
+        zombies: Vec<Lease>,
+    }
+
+    impl World {
+        /// What decides the future: queued work with its deadline relative to
+        /// now, the slot books, the completed ranges, the fault budget and the
+        /// fenced leases.  The attempt log's history and failure reasons do not,
+        /// so interleavings that differ only there are explored once.
+        fn key(&self) -> Key {
+            let machine = &self.machine;
+            let queue = machine
+                .queue
+                .iter()
+                .map(|p| {
+                    let wait = p.ready_at.saturating_sub(self.now);
+                    (p.range.clone(), p.tries, p.stolen_from, p.slot, wait)
+                })
+                .collect();
+            let mut completed: Vec<usize> = machine
+                .log
+                .iter()
+                .filter(|record| record.failure.is_none())
+                .map(|record| record.range.start)
+                .collect();
+            completed.sort_unstable();
+            (
+                queue,
+                machine.slots.clone(),
+                completed,
+                self.faults_left,
+                self.zombies.clone(),
+            )
+        }
+    }
+
+    type QueueKey = Vec<(Range<usize>, usize, Option<usize>, Option<usize>, u64)>;
+    type Key = (QueueKey, Vec<SlotBook>, Vec<usize>, usize, Vec<Lease>);
+
+    const REASONS: [FailureReason; 4] = [
+        FailureReason::EvalError,
+        FailureReason::ShardDeath,
+        FailureReason::LeaseExpired,
+        FailureReason::TornWrite,
+    ];
+
+    /// The invariants every reachable state must hold.
+    fn check(world: &World, total: usize) {
+        let machine = &world.machine;
+        let held: Vec<&Lease> = machine
+            .slots
+            .iter()
+            .filter_map(|book| book.held.as_ref())
+            .collect();
+        // every index is queued, held by exactly one unfenced lease, or completed
+        // exactly once: together they tile the space without overlap
+        let mut cover: Vec<Range<usize>> = machine
+            .queue
+            .iter()
+            .map(|pending| pending.range.clone())
+            .chain(held.iter().map(|lease| lease.range.clone()))
+            .chain(
+                machine
+                    .log
+                    .iter()
+                    .filter(|record| record.failure.is_none())
+                    .map(|record| record.range.clone()),
+            )
+            .collect();
+        cover.sort_by_key(|range| range.start);
+        let mut next = 0;
+        for range in &cover {
+            assert_eq!(range.start, next, "ranges lost or doubled: {world:?}");
+            next = range.end;
+        }
+        assert_eq!(next, total, "ranges lost: {world:?}");
+        // per-slot attempt numbers are consecutive: finished and held attempts
+        // are exactly 0..counter
+        for (slot, book) in machine.slots.iter().enumerate() {
+            let mut seen: Vec<usize> = machine
+                .log
+                .iter()
+                .filter(|record| record.slot == slot)
+                .map(|record| record.attempt)
+                .chain(book.held.iter().map(|lease| lease.attempt))
+                .collect();
+            seen.sort_unstable();
+            assert_eq!(seen, (0..book.attempts).collect::<Vec<_>>(), "{world:?}");
+        }
+        assert_eq!(machine.resilience.attempts, machine.log.len() + held.len());
+        // a report from a fenced token changes no state (checked here rather
+        // than expanded as an event, since its successor is this very state)
+        for zombie in &world.zombies {
+            let mut probe = machine.clone();
+            assert!(!probe.succeed(zombie));
+            for reason in REASONS {
+                assert_eq!(probe.fail(zombie, reason, world.now), Decision::Ignored);
+            }
+            assert_eq!(probe.fence(zombie, world.now).1, Decision::Ignored);
+            assert_eq!(&probe, machine, "a fenced token changed the state");
+        }
+    }
+
+    /// Every event enabled in `world`: its successor, or the abandoned range.
+    fn successors(world: &World) -> Vec<Result<World, Range<usize>>> {
+        let mut next = Vec::new();
+        for (slot, book) in world.machine.slots.iter().enumerate() {
+            if slot >= world.machine.fleet || book.dead || book.held.is_some() {
+                continue;
+            }
+            let mut successor = world.clone();
+            if successor.machine.assign(slot, world.now).is_some() {
+                next.push(Ok(successor));
+            }
+        }
+        let assignable = !next.is_empty();
+        let held = world
+            .machine
+            .slots
+            .iter()
+            .filter_map(|book| book.held.clone());
+        for lease in held {
+            let mut successor = world.clone();
+            assert!(successor.machine.succeed(&lease));
+            next.push(Ok(successor));
+            if world.faults_left == 0 {
+                continue;
+            }
+            let mut outcomes: Vec<(World, Decision)> = REASONS
+                .into_iter()
+                .map(|reason| {
+                    let mut successor = world.clone();
+                    let decision = successor.machine.fail(&lease, reason, world.now);
+                    (successor, decision)
+                })
+                .collect();
+            let mut fenced = world.clone();
+            let (generation, decision) = fenced.machine.fence(&lease, world.now);
+            assert!(generation > lease.generation, "fencing rotates the token");
+            fenced.zombies.push(lease.clone());
+            outcomes.push((fenced, decision));
+            for (mut successor, decision) in outcomes {
+                successor.faults_left -= 1;
+                next.push(match decision {
+                    Decision::Abandon(range) => Err(range),
+                    Decision::Ignored => panic!("the live holder of {lease:?} was ignored"),
+                    Decision::Retry { backoff, ready_at } => {
+                        // the retry waits out its backoff on the same slot
+                        assert_eq!(ready_at, world.now + backoff);
+                        let early = successor.machine.clone().assign(lease.slot, world.now);
+                        assert!(backoff == 0 || early.is_none(), "retried before ready_at");
+                        Ok(successor)
+                    }
+                    Decision::Steal => Ok(successor),
+                });
+            }
+        }
+        // with no assignment possible, the clock reaches the next backoff deadline
+        let deadline = world
+            .machine
+            .queue
+            .iter()
+            .map(|pending| pending.ready_at)
+            .filter(|&ready_at| ready_at > world.now)
+            .min()
+            .filter(|_| !assignable);
+        if let Some(ready_at) = deadline {
+            let mut successor = world.clone();
+            successor.now = ready_at;
+            next.push(Ok(successor));
+        }
+        next
+    }
+
+    #[derive(Default)]
+    struct Exploration {
+        /// Every state reached, and whether it is on the current path.
+        visited: HashMap<Key, bool>,
+        finished: usize,
+        abandoned: usize,
+    }
+
+    impl Exploration {
+        fn explore(&mut self, world: World, total: usize) {
+            let key = world.key();
+            if let Some(&on_path) = self.visited.get(&key) {
+                assert!(!on_path, "a path loops: {world:?}");
+                return;
+            }
+            check(&world, total);
+            let next = successors(&world);
+            if next.is_empty() {
+                // no event left: the campaign must have finished, not be stuck
+                assert_eq!(world.machine.unfinished(), None, "stuck: {world:?}");
+                self.finished += 1;
+                self.visited.insert(key, false);
+                return;
+            }
+            self.visited.insert(key.clone(), true);
+            for successor in next {
+                match successor {
+                    Ok(successor) => self.explore(successor, total),
+                    Err(_) => self.abandoned += 1,
+                }
+            }
+            self.visited.insert(key, false);
+        }
+    }
+
+    /// Depth-first search over every interleaving of assignments, successes,
+    /// failures of each kind, fences, late reports from fenced holders and clock
+    /// advances, for small fleets in both placements (pinned thread-driver
+    /// shards plus the drain slot, and pooled process-driver ranges).
+    #[test]
+    fn the_machine_is_correct_on_every_interleaving_of_small_fleets() {
+        // (max_attempts, ranges, pinned, slots, faults): two and three slots,
+        // two to four ranges, up to three faults (four, to reach abandonment);
+        // the largest fleets only at two attempts, to keep the search in budget
+        let mut configs = vec![(2, 1, true, 2, 4), (2, 2, false, 2, 4)];
+        for max_attempts in 2..=3 {
+            for owners in 1..=2 {
+                configs.push((max_attempts, owners, true, owners + 1, 3));
+            }
+            for (ranges, slots) in [(2, 2), (3, 2), (2, 3)] {
+                configs.push((max_attempts, ranges, false, slots, 3));
+            }
+        }
+        for (ranges, slots) in [(4, 2), (3, 3)] {
+            configs.push((2, ranges, false, slots, 3));
+        }
+        let (mut states, mut abandoned) = (0, 0usize);
+        for (max_attempts, ranges, pinned, slots, faults) in configs {
+            let policy = RetryPolicy {
+                max_attempts,
+                ..RetryPolicy::default()
+            };
+            let world = World {
+                machine: Supervisor::new(
+                    policy,
+                    (0..ranges).map(|i| i..i + 1).collect(),
+                    pinned,
+                    slots,
+                ),
+                now: 0,
+                faults_left: faults,
+                zombies: Vec::new(),
+            };
+            let mut exploration = Exploration::default();
+            exploration.explore(world, ranges);
+            assert!(exploration.finished > 0);
+            states += exploration.visited.len();
+            abandoned += exploration.abandoned;
+        }
+        assert!(abandoned > 0, "the search reaches abandonment too");
+        assert!(states > 10_000, "explored only {states} states");
     }
 }

@@ -12,12 +12,12 @@ use std::sync::Mutex;
 use proptest::prelude::*;
 
 use wd_dist::{
-    FaultEvent, FaultKind, FaultPlan, JsonlStore, MemoryStore, ResultStore, RetryPolicy,
-    ShardedCampaign,
+    AttemptRecord, FailureReason, FaultEvent, FaultKind, FaultPlan, JsonlStore, MemoryStore,
+    ResultStore, RetryPolicy, ShardedCampaign, SupervisionReport,
 };
 use wd_obs::Registry;
 use wd_opt::space::GridSpace;
-use wd_opt::{CountingObjective, Objective};
+use wd_opt::{CacheStats, CountingObjective, Objective, ResilienceStats};
 
 /// A deterministic objective with exact ties, so the earliest-index merge rule is
 /// exercised under supervision too.
@@ -279,4 +279,168 @@ fn sharded_campaign_run_supervised_observed_is_bit_identical_to_run_supervised()
     assert_eq!(events.get("chaos/merged"), Some(&1));
     assert!(events.contains_key("chaos/shard_started"));
     assert!(events.contains_key("chaos/shard_completed"));
+}
+
+fn record(
+    slot: usize,
+    attempt: usize,
+    range: std::ops::Range<usize>,
+    stolen_from: Option<usize>,
+    failure: Option<FailureReason>,
+) -> AttemptRecord {
+    AttemptRecord {
+        slot,
+        attempt,
+        range,
+        stolen_from,
+        failure,
+    }
+}
+
+fn resilience(
+    attempts: usize,
+    retries: usize,
+    lease_expiries: usize,
+    steals: usize,
+) -> ResilienceStats {
+    ResilienceStats {
+        attempts,
+        retries,
+        lease_expiries,
+        steals,
+    }
+}
+
+fn golden_bowl(config: &(u32, u32)) -> f64 {
+    let dx = f64::from(config.0) - 13.0;
+    let dy = f64::from(config.1) - 5.0;
+    dx * dx + dy * dy
+}
+
+/// Pinned supervision reports: any change to how attempts are counted, when a
+/// range is retried or stolen, or how far the logical clock moves shows up here.
+/// The single-fault plans are one slot-1 fault of each kind over 19x11 in 3
+/// shards of 16-config batches, under the default policy: no steal, so the
+/// whole report is deterministic.
+#[test]
+fn single_fault_supervision_reports_are_pinned() {
+    use FailureReason::*;
+    let cases = [
+        (FaultKind::EvalError, EvalError, 0, 16, 18),
+        (FaultKind::ShardDeath, ShardDeath, 0, 16, 18),
+        (FaultKind::Stall, LeaseExpired, 1, 16, 22),
+        (FaultKind::TornWrite, TornWrite, 0, 32, 18),
+    ];
+    for (kind, failure, lease_expiries, failed_misses, final_clock) in cases {
+        let faults = FaultPlan::from_events(vec![FaultEvent {
+            slot: 1,
+            attempt: 0,
+            after_batches: 1,
+            kind,
+        }]);
+        let supervised = ShardedCampaign::new(3)
+            .with_batch_size(16)
+            .run_supervised(
+                &GridSpace {
+                    width: 19,
+                    height: 11,
+                },
+                &golden_bowl,
+                &MemoryStore::new(),
+                &faults,
+                &RetryPolicy::default(),
+            )
+            .unwrap();
+        let expected = SupervisionReport {
+            resilience: resilience(4, 1, lease_expiries, 0),
+            failed_stats: CacheStats {
+                hits: 0,
+                misses: failed_misses,
+            },
+            attempts: vec![
+                record(0, 0, 0..70, None, None),
+                record(1, 0, 70..140, None, Some(failure)),
+                record(1, 1, 70..140, None, None),
+                record(2, 0, 140..209, None, None),
+            ],
+            dead_slots: vec![],
+            final_clock,
+        };
+        assert_eq!(supervised.supervision, expected, "{kind:?}");
+    }
+}
+
+/// Pinned reports for three seeded random plans over 12x12 in 3 shards of
+/// 10-config batches, with two attempts per range so slots die and their ranges
+/// are stolen.  Which survivor steals depends on thread timing, so a plan with a
+/// steal pins everything but the attempt log; a plan without one pins it all.
+#[test]
+fn random_plan_supervision_reports_are_pinned() {
+    use FailureReason::*;
+    let policy = RetryPolicy {
+        max_attempts: 2,
+        ..RetryPolicy::default()
+    };
+    let run = |seed: u64| {
+        ShardedCampaign::new(3)
+            .with_batch_size(10)
+            .run_supervised(
+                &GridSpace {
+                    width: 12,
+                    height: 12,
+                },
+                &golden_bowl,
+                &MemoryStore::new(),
+                &FaultPlan::random(seed, 3, 2, 2),
+                &policy,
+            )
+            .unwrap()
+            .supervision
+    };
+
+    assert_eq!(
+        run(3),
+        SupervisionReport {
+            resilience: resilience(5, 2, 0, 0),
+            failed_stats: CacheStats { hits: 0, misses: 0 },
+            attempts: vec![
+                record(0, 0, 0..48, None, Some(EvalError)),
+                record(0, 1, 0..48, None, None),
+                record(1, 0, 48..96, None, None),
+                record(2, 0, 96..144, None, Some(ShardDeath)),
+                record(2, 1, 96..144, None, None),
+            ],
+            dead_slots: vec![],
+            final_clock: 19,
+        }
+    );
+
+    for (seed, stats, failed_stats, dead_slots, final_clock) in [
+        (
+            1,
+            resilience(6, 2, 2, 1),
+            CacheStats {
+                hits: 10,
+                misses: 30,
+            },
+            vec![0],
+            32,
+        ),
+        (
+            5,
+            resilience(8, 3, 1, 2),
+            CacheStats {
+                hits: 40,
+                misses: 70,
+            },
+            vec![0, 2],
+            37,
+        ),
+    ] {
+        let report = run(seed);
+        assert_eq!(report.resilience, stats, "seed {seed}");
+        assert_eq!(report.failed_stats, failed_stats, "seed {seed}");
+        assert_eq!(report.dead_slots, dead_slots, "seed {seed}");
+        assert_eq!(report.final_clock, final_clock, "seed {seed}");
+    }
 }
