@@ -11,9 +11,8 @@
 //!
 //! The printed summary doubles as the acceptance evidence: model invocations per
 //! accepted move, the ≥ 5× empty-vs-direct reduction (asserted), and the bit-identity
-//! of all three trajectories.  The measurement logic is shared with the
-//! `repro bench-annealing` artifact (`wd_bench::measure_annealing_fast_path`), so
-//! the criterion trajectory and the CI JSON always describe the same experiment.
+//! of all three trajectories.  The measurement logic is
+//! `wd_bench::measure_annealing_fast_path`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dna_analysis::Genome;

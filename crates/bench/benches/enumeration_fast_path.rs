@@ -38,10 +38,8 @@ fn three_accel_space() -> ConfigurationSpace {
 }
 
 /// One-shot evidence for the acceptance criteria: model-invocation counts and
-/// wall-clock of direct vs. tabulated EML, with a bit-identity check.  The
-/// measurement logic is shared with the `repro bench-enumeration` artifact
-/// (`wd_bench::measure_fast_path`), so the criterion trajectory and the CI JSON
-/// always describe the same experiment.
+/// wall-clock of direct vs. tabulated EML, with a bit-identity check
+/// (`wd_bench::measure_fast_path`).
 fn print_fast_path_summary() {
     let platform = HeterogeneousPlatform::emil_with_gpu();
     let models = TrainingCampaign::reduced_for(&platform).run(&platform, BoostingParams::fast());

@@ -9,11 +9,9 @@
 //! The printed summary doubles as the acceptance evidence: all four trajectories
 //! are bit-identical, replaying the exporter's JSONL file reconstructs the walk's
 //! best-energy series from the file alone, and the NoopRecorder costs < 2 %
-//! wall-clock (asserted on best-of-repeats minima via
+//! wall-clock (asserted on the median paired ratio via
 //! [`wd_bench::ObservabilityMeasurement::assert_noop_is_free`]).  The measurement
-//! logic is shared with the `repro bench-observability` artifact
-//! (`wd_bench::measure_observability_overhead`), so the criterion trajectory and
-//! the CI JSON always describe the same experiment.
+//! logic is `wd_bench::measure_observability_overhead`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dna_analysis::Genome;

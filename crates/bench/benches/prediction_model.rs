@@ -6,13 +6,13 @@
 //! makes EML/SAML cheap compared to measurement-based evaluation.  Also prints the
 //! regenerated Table IV/V accuracy summary once per run.
 //!
-//! The `flat_kernel` group times the batch-prediction kernels against each other on
-//! one EML-tabulation-sized batch (256 rows × 5 features, the chunks the table
+//! The `flat_kernel` group times the two batch-prediction kernels against each other
+//! on one EML-tabulation-sized batch (256 rows × 5 features, the chunks the table
 //! builders feed [`wd_ml::Regressor::predict_batch`]): the seed kernel (checked,
-//! branchy), the cache-blocked branch-free kernel, and — under `--features simd` —
-//! the explicit-SIMD lane.  Bit-identity and the ≥ 2× blocked-over-seed speedup are
-//! asserted via the shared `repro bench-prediction` measurement, so the criterion
-//! trajectory and the CI JSON describe the same experiment.
+//! branchy) and the cache-blocked branch-free `predict_batch`.  Bit-identity and the
+//! ≥ 2× blocked-over-seed speedup are asserted first, through
+//! `wd_bench::measure_prediction_kernel` (the measurement the unit tests check for
+//! bit-identity too).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hetero_autotune::features::host_features;
@@ -82,21 +82,17 @@ fn bench_prediction(c: &mut Criterion) {
 fn bench_flat_kernel(c: &mut Criterion) {
     let (model, batch, width) = kernel_bench_forest();
 
-    // acceptance evidence first: bit-identity across every kernel plus the ≥ 2×
+    // acceptance evidence first: bit-identity of both kernels plus the ≥ 2×
     // blocked-over-seed speedup, measured best-of-200 on the same batch
     let m = measure_prediction_kernel(&model, &batch, width, 200);
     println!(
-        "flat_kernel ({} rows x {} features, {} trees): reference {:?}, blocked {:?} ({:.2}x), simd {}",
+        "flat_kernel ({} rows x {} features, {} trees): reference {:?}, blocked {:?} ({:.2}x)",
         m.rows,
         m.width,
         m.trees,
         m.reference,
         m.blocked,
         m.blocked_speedup(),
-        match (m.simd, m.simd_speedup()) {
-            (Some(t), Some(s)) => format!("{t:?} ({s:.2}x)"),
-            _ => "not built (enable --features simd)".to_string(),
-        },
     );
     m.assert_fast_path_won();
 
@@ -104,15 +100,8 @@ fn bench_flat_kernel(c: &mut Criterion) {
     group.bench_function("reference_256x5", |b| {
         b.iter(|| model.predict_batch_reference(&batch, width));
     });
+    // the blocked kernel behind `predict_batch` (what the tabulation layer calls)
     group.bench_function("blocked_256x5", |b| {
-        b.iter(|| model.predict_batch_blocked(&batch, width));
-    });
-    #[cfg(feature = "simd")]
-    group.bench_function("simd_256x5", |b| {
-        b.iter(|| model.predict_batch_simd(&batch, width));
-    });
-    // the dispatched entry point (what the tabulation layer actually calls)
-    group.bench_function("dispatched_256x5", |b| {
         b.iter(|| model.predict_batch(&batch, width));
     });
     group.finish();

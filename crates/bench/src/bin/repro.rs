@@ -13,20 +13,6 @@
 //!   table6 table7                 percent / absolute difference to the EM optimum
 //!   table8 table9                 speedups vs. host-only / device-only
 //!   all                           everything above
-//!   bench-enumeration             enumeration fast-path measurements; also writes
-//!                                 the BENCH_enumeration.json perf-trajectory artifact
-//!   bench-annealing               incremental-annealing fast-path measurements
-//!                                 (direct vs eager vs lazy SAML); also writes the
-//!                                 BENCH_annealing.json perf-trajectory artifact
-//!   bench-prediction              flat-forest kernel measurements (seed vs blocked
-//!                                 vs SIMD batch prediction) plus the GA's
-//!                                 incremental-recombination fast path; also writes
-//!                                 the BENCH_prediction.json perf-trajectory artifact
-//!   bench-observability           observability-layer overhead measurements (the
-//!                                 same SAML walk unobserved vs NoopRecorder vs
-//!                                 Registry vs JSONL exporter, with bit-identity and
-//!                                 event-replay checks); also writes the
-//!                                 BENCH_observability.json perf-trajectory artifact
 //! ```
 //!
 //! `--quick` runs a scaled-down study (reduced training campaign, fewer budgets) so the
@@ -35,20 +21,28 @@
 //!
 //! `--metrics PATH` writes a `wd_obs` metrics snapshot (schema
 //! [`wd_obs::METRICS_SCHEMA_VERSION`])
-//! to `PATH` when the run finishes: one span per artifact rendered, a span for the
-//! training campaign, and whatever gauges/counters the requested artifacts published
-//! through the shared registry.
+//! to `PATH` when the run finishes: one span per artifact rendered and a span for the
+//! training campaign.  An unknown artifact name is a usage error (exit 2).
+//!
+//! Performance measurements are not artifacts of this binary: the criterion benches
+//! under `crates/bench/benches` (which also assert the fast-path gates) and the
+//! `benchmark/` package take repeated samples of them.
 
 use std::collections::BTreeSet;
 
-use dna_analysis::Genome;
 use hetero_autotune::experiments::{motivation_experiment, SpeedupBaseline};
 use hetero_autotune::report::{fmt2, fmt3, format_table};
-use hetero_autotune::{ConfigurationSpace, MethodKind, TrainingCampaign};
+use hetero_autotune::{ConfigurationSpace, MethodKind};
 use hetero_platform::{Affinity, DeviceSpec, HeterogeneousPlatform};
 use wd_bench::{render_budget_table, render_speedup_table, PaperStudy, Scale};
 use wd_ml::ErrorHistogram;
 use wd_obs::{FieldValue, Recorder, Registry};
+
+/// Every artifact this binary renders (what `all` expands to).
+const ARTIFACTS: [&str; 15] = [
+    "table1", "table2", "table3", "fig2", "fig5", "fig6", "fig7", "fig8", "table4", "table5",
+    "fig9", "table6", "table7", "table8", "table9",
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -82,14 +76,14 @@ fn main() {
     if artifacts.is_empty() {
         usage("no artifact requested");
     }
-    if artifacts.contains("all") {
-        artifacts = [
-            "table1", "table2", "table3", "fig2", "fig5", "fig6", "fig7", "fig8", "table4",
-            "table5", "fig9", "table6", "table7", "table8", "table9",
-        ]
+    if let Some(unknown) = artifacts
         .iter()
-        .map(|s| s.to_string())
-        .collect();
+        .find(|a| *a != "all" && !ARTIFACTS.contains(&a.as_str()))
+    {
+        usage(&format!("unknown artifact `{unknown}`"));
+    }
+    if artifacts.contains("all") {
+        artifacts = ARTIFACTS.iter().map(|s| s.to_string()).collect();
     }
 
     let needs_models = artifacts.iter().any(|a| {
@@ -116,10 +110,6 @@ fn main() {
             "table2" => table2(),
             "table3" => table3(),
             "fig2" => fig2(seed),
-            "bench-enumeration" => bench_enumeration(scale),
-            "bench-annealing" => bench_annealing(scale, seed),
-            "bench-prediction" => bench_prediction(scale, seed),
-            "bench-observability" => bench_observability(scale, seed, &registry),
             _ => continue,
         }
         registry.span(
@@ -240,8 +230,7 @@ fn usage(message: &str) -> ! {
     eprintln!(
         "usage: repro [--quick] [--seed N] [--metrics PATH] <artifact>...\n\
          artifacts: table1 table2 table3 fig2 fig5 fig6 fig7 fig8 table4 table5 fig9 \
-         table6 table7 table8 table9 all bench-enumeration bench-annealing \
-         bench-prediction bench-observability"
+         table6 table7 table8 table9 all"
     );
     std::process::exit(if message.is_empty() { 0 } else { 2 });
 }
@@ -556,310 +545,4 @@ fn fig9(study: &PaperStudy) {
             .collect();
         println!("{}", format_table(&headers, &rows));
     }
-}
-
-/// `bench-enumeration`: measure the enumeration fast path and write the
-/// `BENCH_enumeration.json` perf-trajectory artifact (one JSON object per run,
-/// suitable for diffing across commits in CI).
-///
-/// The direct-vs-factorized measurement is `wd_bench::measure_fast_path` — the same
-/// code the `enumeration_fast_path` criterion bench runs, on the same grid at paper
-/// scale, so the JSON trajectory and the bench numbers describe one experiment.
-fn bench_enumeration(scale: Scale) {
-    use std::time::Instant;
-    use wd_bench::{measure_fast_path, two_accel_bench_grid};
-    use wd_opt::{MaterializedOnly, ParallelEnumeration, SearchSpace};
-
-    let platform = HeterogeneousPlatform::emil_with_gpu();
-    let models = TrainingCampaign::reduced_for(&platform).run(&platform, scale.boosting());
-
-    // 2-accelerator EML grid: quick shrinks it, paper uses the bench grid
-    let grid = match scale {
-        Scale::Quick => ConfigurationSpace::tiny_multi(),
-        Scale::Paper => two_accel_bench_grid(),
-    };
-    let m = measure_fast_path(&models, Genome::Human.workload(), &grid);
-
-    // lazy vs. materialized streaming on the Table-I grid, cheap objective
-    let table1 = ConfigurationSpace::enumeration_grid();
-    let cheap = |config: &hetero_autotune::SystemConfiguration| {
-        f64::from(config.host_threads) + f64::from(config.host_permille()) * 1e-3
-    };
-    let start = Instant::now();
-    let lazy = ParallelEnumeration::new().run_indexed(&table1, &cheap);
-    let t_lazy = start.elapsed();
-    let start = Instant::now();
-    let materialized =
-        ParallelEnumeration::new().run_indexed(&MaterializedOnly::new(&table1), &cheap);
-    let t_materialized = start.elapsed();
-    assert_eq!(lazy.best_index, materialized.best_index);
-
-    let json = format!(
-        "{{\n  \"schema\": \"bench-enumeration/v1\",\n  \"scale\": \"{}\",\n  \
-         \"tabulated_vs_direct\": {{\n    \"grid_configs\": {},\n    \
-         \"direct_ms\": {:.3},\n    \"tabulated_ms\": {:.3},\n    \
-         \"model_queries_direct\": {},\n    \
-         \"model_queries_tabulated\": {},\n    \
-         \"query_reduction\": {:.2},\n    \"identical_best\": {}\n  }},\n  \
-         \"lazy_vs_materialized\": {{\n    \"grid_configs\": {},\n    \
-         \"lazy_ms\": {:.3},\n    \"materialized_ms\": {:.3}\n  }}\n}}\n",
-        if scale == Scale::Paper {
-            "paper"
-        } else {
-            "quick"
-        },
-        m.grid_configs,
-        m.direct.as_secs_f64() * 1e3,
-        m.tabulated_total().as_secs_f64() * 1e3,
-        m.model_queries_direct,
-        m.model_queries_tabulated,
-        m.query_reduction(),
-        m.identical_best,
-        table1.space_len().expect("Table-I grid is indexed"),
-        t_lazy.as_secs_f64() * 1e3,
-        t_materialized.as_secs_f64() * 1e3,
-    );
-    print!("{json}");
-    std::fs::write("BENCH_enumeration.json", &json)
-        .expect("failed to write BENCH_enumeration.json");
-    eprintln!("# wrote BENCH_enumeration.json");
-    m.assert_fast_path_won();
-}
-
-/// `bench-annealing`: measure the incremental annealing fast path and write the
-/// `BENCH_annealing.json` perf-trajectory artifact (one JSON object per run,
-/// suitable for diffing across commits in CI).
-///
-/// The measurement is `wd_bench::measure_annealing_fast_path` — the same code the
-/// `annealing_fast_path` criterion bench runs — on the 2-accelerator bench space at
-/// paper scale (`tiny_multi` + a shorter walk for `--quick`): one SAML trajectory,
-/// walked three ways (direct full re-evaluation, eager tables + delta, lazy tables +
-/// delta), with bit-identity and the ≥ 5× per-accepted-move query reduction asserted.
-fn bench_annealing(scale: Scale, seed: u64) {
-    use wd_bench::{measure_annealing_fast_path, two_accel_bench_grid};
-
-    let platform = HeterogeneousPlatform::emil_with_gpu();
-    let models = TrainingCampaign::reduced_for(&platform).run(&platform, scale.boosting());
-    let (space, iterations) = match scale {
-        Scale::Quick => (ConfigurationSpace::tiny_multi(), 300),
-        Scale::Paper => (two_accel_bench_grid(), 2000),
-    };
-    let m =
-        measure_annealing_fast_path(&models, Genome::Human.workload(), &space, iterations, seed);
-
-    let json = format!(
-        "{{\n  \"schema\": \"bench-annealing/v1\",\n  \"scale\": \"{}\",\n  \
-         \"space_configs\": {},\n  \"iterations\": {},\n  \"evaluations\": {},\n  \
-         \"accepted_moves\": {},\n  \"direct_ms\": {:.3},\n  \"eager_ms\": {:.3},\n  \
-         \"lazy_ms\": {:.3},\n  \"model_queries_direct\": {},\n  \
-         \"model_queries_eager\": {},\n  \"model_queries_lazy\": {},\n  \
-         \"queries_per_accepted_direct\": {:.3},\n  \
-         \"queries_per_accepted_lazy\": {:.3},\n  \"query_reduction\": {:.2},\n  \
-         \"identical_trajectories\": {}\n}}\n",
-        if scale == Scale::Paper {
-            "paper"
-        } else {
-            "quick"
-        },
-        m.space_configs,
-        m.iterations,
-        m.evaluations,
-        m.accepted_moves,
-        m.direct.as_secs_f64() * 1e3,
-        m.eager_total().as_secs_f64() * 1e3,
-        m.lazy.as_secs_f64() * 1e3,
-        m.model_queries_direct,
-        m.model_queries_eager,
-        m.model_queries_lazy,
-        m.queries_per_accepted_direct(),
-        m.queries_per_accepted_lazy(),
-        m.query_reduction(),
-        m.identical_trajectories,
-    );
-    print!("{json}");
-    std::fs::write("BENCH_annealing.json", &json).expect("failed to write BENCH_annealing.json");
-    eprintln!("# wrote BENCH_annealing.json");
-    m.assert_fast_path_won();
-}
-
-/// `bench-prediction`: measure the flat-forest batch kernels and the GA's
-/// incremental-recombination fast path, and write the `BENCH_prediction.json`
-/// perf-trajectory artifact (one JSON object per run, suitable for diffing across
-/// commits in CI).
-///
-/// The kernel half is `wd_bench::measure_prediction_kernel` over the shared
-/// [`wd_bench::kernel_bench_forest`] ensemble and EML-tabulation-sized batch — the
-/// same experiment the `prediction_model` criterion bench's `flat_kernel` group
-/// times — asserting bit-identity and the ≥ 2× blocked-over-seed speedup.  The GA
-/// half is `wd_bench::measure_genetic_fast_path` on the 2-accelerator bench space
-/// (`tiny_multi` + a smaller budget for `--quick`): one GA trajectory, run twice
-/// (direct full re-evaluation vs `run_delta` over lazy tables), with bit-identity
-/// and the ≥ 5× per-generation query reduction asserted.
-fn bench_prediction(scale: Scale, seed: u64) {
-    use wd_bench::{
-        kernel_bench_forest, measure_genetic_fast_path, measure_prediction_kernel,
-        two_accel_bench_grid,
-    };
-
-    let (model, batch, width) = kernel_bench_forest();
-    let repeats = match scale {
-        Scale::Quick => 50,
-        Scale::Paper => 200,
-    };
-    let kernel = measure_prediction_kernel(&model, &batch, width, repeats);
-
-    let platform = HeterogeneousPlatform::emil_with_gpu();
-    let models = TrainingCampaign::reduced_for(&platform).run(&platform, scale.boosting());
-    let (space, iterations) = match scale {
-        Scale::Quick => (ConfigurationSpace::tiny_multi(), 300),
-        Scale::Paper => (two_accel_bench_grid(), 2000),
-    };
-    let ga = measure_genetic_fast_path(&models, Genome::Human.workload(), &space, iterations, seed);
-
-    let simd_ms = kernel
-        .simd
-        .map(|t| format!("{:.3}", t.as_secs_f64() * 1e3))
-        .unwrap_or_else(|| "null".to_string());
-    let simd_speedup = kernel
-        .simd_speedup()
-        .map(|s| format!("{s:.2}"))
-        .unwrap_or_else(|| "null".to_string());
-    let json = format!(
-        "{{\n  \"schema\": \"bench-prediction/v1\",\n  \"scale\": \"{}\",\n  \
-         \"kernel\": {{\n    \"rows\": {},\n    \"width\": {},\n    \"trees\": {},\n    \
-         \"repeats\": {},\n    \"reference_ms\": {:.3},\n    \"blocked_ms\": {:.3},\n    \
-         \"simd_ms\": {},\n    \"blocked_speedup\": {:.2},\n    \"simd_speedup\": {},\n    \
-         \"identical\": {}\n  }},\n  \
-         \"ga_delta\": {{\n    \"space_configs\": {},\n    \"iterations\": {},\n    \
-         \"generations\": {},\n    \"evaluations\": {},\n    \"direct_ms\": {:.3},\n    \
-         \"lazy_ms\": {:.3},\n    \"model_queries_direct\": {},\n    \
-         \"model_queries_lazy\": {},\n    \"queries_per_generation_direct\": {:.3},\n    \
-         \"queries_per_generation_lazy\": {:.3},\n    \"query_reduction\": {:.2},\n    \
-         \"identical_trajectories\": {}\n  }}\n}}\n",
-        if scale == Scale::Paper {
-            "paper"
-        } else {
-            "quick"
-        },
-        kernel.rows,
-        kernel.width,
-        kernel.trees,
-        kernel.repeats,
-        kernel.reference.as_secs_f64() * 1e3,
-        kernel.blocked.as_secs_f64() * 1e3,
-        simd_ms,
-        kernel.blocked_speedup(),
-        simd_speedup,
-        kernel.identical,
-        ga.space_configs,
-        ga.iterations,
-        ga.generations,
-        ga.evaluations,
-        ga.direct.as_secs_f64() * 1e3,
-        ga.lazy.as_secs_f64() * 1e3,
-        ga.model_queries_direct,
-        ga.model_queries_lazy,
-        ga.queries_per_generation_direct(),
-        ga.queries_per_generation_lazy(),
-        ga.query_reduction(),
-        ga.identical_trajectories,
-    );
-    print!("{json}");
-    std::fs::write("BENCH_prediction.json", &json).expect("failed to write BENCH_prediction.json");
-    eprintln!("# wrote BENCH_prediction.json");
-    kernel.assert_fast_path_won();
-    ga.assert_fast_path_won();
-}
-
-/// `bench-observability`: measure the observability layer's hot-path cost and write
-/// the `BENCH_observability.json` perf-trajectory artifact (one JSON object per run,
-/// suitable for diffing across commits in CI).
-///
-/// The measurement is `wd_bench::measure_observability_overhead` — the same code the
-/// `observability_overhead` criterion bench runs — on the 2-accelerator bench space
-/// at paper scale (`tiny_multi` for `--quick`): one SAML delta walk timed unobserved
-/// and under three recorders (disabled `NoopRecorder`, in-memory `Registry`, JSONL
-/// exporter to disk), with bit-identity of all four trajectories, a bit-exact replay
-/// of the best-energy series from the exporter's file alone, and the < 2 %
-/// NoopRecorder overhead bound asserted.  The measurement's headline numbers are
-/// also published into the shared `--metrics` registry.
-fn bench_observability(scale: Scale, seed: u64, recorder: &dyn Recorder) {
-    use wd_bench::{measure_observability_overhead, two_accel_bench_grid};
-
-    let platform = HeterogeneousPlatform::emil_with_gpu();
-    let models = TrainingCampaign::reduced_for(&platform).run(&platform, scale.boosting());
-    // the walk stays at the bench's 2000 iterations even for --quick (the budget is
-    // what the < 2 % bound is quoted against); quick only shrinks space + training
-    let (space, repeats) = match scale {
-        Scale::Quick => (ConfigurationSpace::tiny_multi(), 15),
-        Scale::Paper => (two_accel_bench_grid(), 7),
-    };
-    let iterations = 2000;
-    let m = measure_observability_overhead(
-        &models,
-        Genome::Human.workload(),
-        &space,
-        iterations,
-        seed,
-        repeats,
-    );
-
-    let json = format!(
-        "{{\n  \"schema\": \"bench-observability/v1\",\n  \"scale\": \"{}\",\n  \
-         \"space_configs\": {},\n  \"iterations\": {},\n  \"repeats\": {},\n  \
-         \"unobserved_ms\": {:.3},\n  \"noop_ms\": {:.3},\n  \"registry_ms\": {:.3},\n  \
-         \"exporter_ms\": {:.3},\n  \"noop_overhead_pct\": {:.3},\n  \
-         \"registry_overhead_pct\": {:.3},\n  \"exporter_overhead_pct\": {:.3},\n  \
-         \"events_written\": {},\n  \"bytes_written\": {},\n  \
-         \"identical_trajectories\": {},\n  \"replay_matches\": {}\n}}\n",
-        if scale == Scale::Paper {
-            "paper"
-        } else {
-            "quick"
-        },
-        m.space_configs,
-        m.iterations,
-        m.repeats,
-        m.unobserved.as_secs_f64() * 1e3,
-        m.noop.as_secs_f64() * 1e3,
-        m.registry.as_secs_f64() * 1e3,
-        m.exporter.as_secs_f64() * 1e3,
-        m.noop_overhead() * 100.0,
-        m.registry_overhead() * 100.0,
-        m.exporter_overhead() * 100.0,
-        m.events_written,
-        m.bytes_written,
-        m.identical_trajectories,
-        m.replay_matches,
-    );
-    print!("{json}");
-    std::fs::write("BENCH_observability.json", &json)
-        .expect("failed to write BENCH_observability.json");
-    eprintln!("# wrote BENCH_observability.json");
-
-    if recorder.enabled() {
-        recorder.gauge("bench.observability.noop_overhead", m.noop_overhead());
-        recorder.gauge(
-            "bench.observability.registry_overhead",
-            m.registry_overhead(),
-        );
-        recorder.gauge(
-            "bench.observability.exporter_overhead",
-            m.exporter_overhead(),
-        );
-        recorder.counter("bench.observability.events_written", m.events_written);
-        recorder.counter("bench.observability.bytes_written", m.bytes_written);
-    }
-    m.assert_noop_is_free();
-}
-
-// ensure the helper crate links even when only static tables are printed
-#[allow(unused)]
-fn genomes() -> Vec<Genome> {
-    Genome::ALL.to_vec()
-}
-
-#[allow(unused)]
-fn campaigns() -> (TrainingCampaign, TrainingCampaign) {
-    (TrainingCampaign::paper(), TrainingCampaign::reduced())
 }

@@ -101,10 +101,9 @@ impl PaperStudy {
 /// A [`wd_ml::Regressor`] wrapper counting model invocations (one per predicted row,
 /// for both the single and the batched entry points).
 ///
-/// This is the *instrumented objective* the enumeration fast-path bench and the
-/// `bench-enumeration` perf artifact use to prove the factorized prediction path
-/// really performs fewer model queries — wall-clock alone would not distinguish a
-/// faster tree walk from fewer tree walks.
+/// This is the *instrumented objective* the fast-path benches use to prove the
+/// factorized prediction path really performs fewer model queries — wall-clock
+/// alone would not distinguish a faster tree walk from fewer tree walks.
 pub struct CountingRegressor<M> {
     inner: M,
     calls: std::sync::Arc<std::sync::atomic::AtomicUsize>,
@@ -181,9 +180,8 @@ pub fn counting_prediction_evaluator(
     )
 }
 
-/// The 2-accelerator (Phi + GPU) grid the enumeration fast-path bench and the
-/// `bench-enumeration` perf artifact both measure, with 10 % split granularity —
-/// one definition so the criterion trajectory and the CI JSON describe the same
+/// The 2-accelerator (Phi + GPU) grid the fast-path benches measure, with 10 %
+/// split granularity — one definition so every bench describes the same
 /// experiment.
 pub fn two_accel_bench_grid() -> hetero_autotune::ConfigurationSpace {
     hetero_autotune::ConfigurationSpace::multi_accelerator(
@@ -437,8 +435,8 @@ pub fn measure_annealing_fast_path(
     }
 }
 
-/// One reference-vs-blocked(-vs-SIMD) measurement of the flat-forest batch kernels
-/// (see [`measure_prediction_kernel`]).
+/// One reference-vs-blocked measurement of the flat-forest batch kernels (see
+/// [`measure_prediction_kernel`]).
 pub struct PredictionKernelMeasurement {
     /// Rows per predicted batch.
     pub rows: usize,
@@ -450,11 +448,10 @@ pub struct PredictionKernelMeasurement {
     pub repeats: usize,
     /// Best wall-clock of the seed kernel (checked, branchy, tree-major).
     pub reference: std::time::Duration,
-    /// Best wall-clock of the cache-blocked branch-free kernel.
+    /// Best wall-clock of the cache-blocked branch-free kernel
+    /// ([`wd_ml::Regressor::predict_batch`]).
     pub blocked: std::time::Duration,
-    /// Best wall-clock of the explicit-SIMD lane (`--features simd` builds only).
-    pub simd: Option<std::time::Duration>,
-    /// Whether every kernel reproduced the `predict_one` row loop bit for bit.
+    /// Whether both kernels reproduced the `predict_one` row loop bit for bit.
     pub identical: bool,
 }
 
@@ -462,12 +459,6 @@ impl PredictionKernelMeasurement {
     /// Reference-over-blocked wall-clock ratio.
     pub fn blocked_speedup(&self) -> f64 {
         self.reference.as_secs_f64() / self.blocked.as_secs_f64().max(f64::MIN_POSITIVE)
-    }
-
-    /// Reference-over-SIMD wall-clock ratio, when the SIMD lane was measured.
-    pub fn simd_speedup(&self) -> Option<f64> {
-        self.simd
-            .map(|simd| self.reference.as_secs_f64() / simd.as_secs_f64().max(f64::MIN_POSITIVE))
     }
 
     /// Assert the acceptance criteria: bit-identical predictions and a ≥ 2× blocked
@@ -494,8 +485,7 @@ impl PredictionKernelMeasurement {
 /// A deterministic boosted ensemble plus one EML-tabulation-sized batch
 /// (`rows × width`, the 256-row chunks the table builders feed
 /// [`wd_ml::Regressor::predict_batch`]) for the flat-kernel measurements — one
-/// definition so the criterion trajectory and the CI JSON describe the same
-/// experiment.  Synthetic (LCG-drawn) features keep the fit off the hot path: the
+/// definition so the bench and the unit test describe the same experiment.  Synthetic (LCG-drawn) features keep the fit off the hot path: the
 /// kernels only care about tree *shape*, not accuracy.
 pub fn kernel_bench_forest() -> (wd_ml::BoostedTreesRegressor, Vec<f64>, usize) {
     use wd_ml::Regressor as _;
@@ -528,10 +518,9 @@ pub fn kernel_bench_forest() -> (wd_ml::BoostedTreesRegressor, Vec<f64>, usize) 
     (model, batch, WIDTH)
 }
 
-/// Time the flat-forest batch kernels (seed/reference, cache-blocked, and — in
-/// `--features simd` builds — the explicit-SIMD lane) over the same batch,
-/// `repeats` times each keeping the best, and check every kernel against the
-/// `predict_one` row loop bit for bit.
+/// Time the flat-forest batch kernels (seed/reference and cache-blocked) over the
+/// same batch, `repeats` times each keeping the best, and check both kernels
+/// against the `predict_one` row loop bit for bit.
 pub fn measure_prediction_kernel(
     model: &wd_ml::BoostedTreesRegressor,
     rows: &[f64],
@@ -558,21 +547,14 @@ pub fn measure_prediction_kernel(
     };
 
     let (t_reference, reference) = best_of(&|| model.predict_batch_reference(rows, width));
-    let (t_blocked, blocked) = best_of(&|| model.predict_batch_blocked(rows, width));
-    #[cfg(feature = "simd")]
-    let simd = Some(best_of(&|| model.predict_batch_simd(rows, width)));
-    #[cfg(not(feature = "simd"))]
-    let simd: Option<(Duration, Vec<f64>)> = None;
+    let (t_blocked, blocked) = best_of(&|| model.predict_batch(rows, width));
 
     let row_loop: Vec<f64> = rows
         .chunks(width.max(1))
         .map(|row| model.predict_one(row))
         .collect();
     let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-    let mut identical = bits(&reference) == bits(&row_loop) && bits(&blocked) == bits(&row_loop);
-    if let Some((_, ref lanes)) = simd {
-        identical = identical && bits(lanes) == bits(&row_loop);
-    }
+    let identical = bits(&reference) == bits(&row_loop) && bits(&blocked) == bits(&row_loop);
 
     PredictionKernelMeasurement {
         rows: rows.len() / width.max(1),
@@ -581,7 +563,6 @@ pub fn measure_prediction_kernel(
         repeats,
         reference: t_reference,
         blocked: t_blocked,
-        simd: simd.map(|(t, _)| t),
         identical,
     }
 }
@@ -1022,17 +1003,13 @@ mod tests {
     fn prediction_kernel_measurement_is_bit_identical() {
         let (model, batch, width) = kernel_bench_forest();
         // wall-clock is not asserted here (unit tests run unoptimised); the ≥ 2×
-        // gate lives in the release-built bench and the repro artifact
+        // gate lives in the release-built `prediction_model` bench
         let m = measure_prediction_kernel(&model, &batch, width, 2);
         assert!(m.identical, "a batch kernel diverged from predict_one");
         assert_eq!(m.rows, 256);
         assert_eq!(m.width, 5);
         assert!(m.trees > 0);
         assert!(m.blocked_speedup() > 0.0);
-        #[cfg(feature = "simd")]
-        assert!(m.simd.is_some() && m.simd_speedup().is_some());
-        #[cfg(not(feature = "simd"))]
-        assert!(m.simd.is_none() && m.simd_speedup().is_none());
     }
 
     #[test]
@@ -1041,13 +1018,23 @@ mod tests {
         let models = hetero_autotune::TrainingCampaign::reduced_for(&platform)
             .run(&platform, BoostingParams::fast());
         let space = hetero_autotune::ConfigurationSpace::tiny_multi();
-        let m = measure_genetic_fast_path(&models, Genome::Human.workload(), &space, 200, 41);
-        // the query-count criteria are deterministic, so the full acceptance gate
-        // runs even unoptimised
-        m.assert_fast_path_won();
-        assert!(m.generations > 0);
-        assert!(m.evaluations >= 200);
-        assert!(m.query_reduction() >= 5.0);
+        // (budget, seed): a short run, and the 300-iteration run on the repro
+        // binary's default seed ("Emil")
+        for (iterations, seed) in [(200, 41), (300, 0x45_6d_69_6c)] {
+            let m = measure_genetic_fast_path(
+                &models,
+                Genome::Human.workload(),
+                &space,
+                iterations,
+                seed,
+            );
+            // the query-count criteria are deterministic, so the full acceptance
+            // gate runs even unoptimised
+            m.assert_fast_path_won();
+            assert!(m.generations > 0);
+            assert!(m.evaluations >= iterations);
+            assert!(m.query_reduction() >= 5.0);
+        }
     }
 
     #[test]

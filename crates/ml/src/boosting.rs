@@ -63,17 +63,11 @@ impl BoostingParams {
     }
 }
 
-/// Rows per block of the cache-blocked batch kernels: one block's rows plus a
+/// Rows per block of the cache-blocked batch kernel: one block's rows plus a
 /// tree's SoA arrays stay L1/L2-resident while the tree loop streams the arena,
 /// so each tree's nodes are touched once per block instead of once per row
 /// stride across the whole batch.
 const ROW_BLOCK: usize = 64;
-
-/// Rows stepped in lockstep per tree by the explicit-SIMD lane
-/// (`--features simd`).  Eight independent walks hide the latency of the
-/// data-dependent node loads that serialise the scalar kernel.
-#[cfg(feature = "simd")]
-const LANES: usize = 8;
 
 /// The whole fitted ensemble flattened into **one contiguous arena**: every tree's
 /// [`crate::FlatTree`] arrays concatenated (child indices rebased), plus one root
@@ -83,7 +77,7 @@ const LANES: usize = 8;
 ///
 /// `min_width` is the validation computed once at [`FlatForest::from_trees`]
 /// time: rows at least that wide cannot index out of bounds at any split node,
-/// which lets the batch kernels drop the per-node
+/// which lets the batch kernel drop the per-node
 /// `features.get(..).unwrap_or(0.0)` check.  Narrower rows (legal — missing
 /// features read as 0.0) take the checked walk.
 #[derive(Debug, Clone, Default)]
@@ -232,92 +226,6 @@ impl FlatForest {
         }
         predictions
     }
-
-    /// Explicit-SIMD batch kernel: like [`FlatForest::predict_blocked`] but
-    /// each tree steps [`LANES`] rows in lockstep (independent walks hide the
-    /// node-load latency), with a scalar tail for the block's remainder.  Same
-    /// per-row accumulation order, hence bit-identical results.
-    #[cfg(feature = "simd")]
-    fn predict_simd(&self, rows: &[f64], width: usize, base: f64, scale: f64) -> Vec<f64> {
-        debug_assert!(width > 0 && width >= self.min_width);
-        let mut predictions = vec![base; rows.len() / width];
-        for (block_rows, block_out) in rows
-            .chunks(ROW_BLOCK * width)
-            .zip(predictions.chunks_mut(ROW_BLOCK))
-        {
-            for &root in &self.roots {
-                let root = root as usize;
-                let mut row_groups = block_rows.chunks_exact(width * LANES);
-                let mut out_groups = block_out.chunks_exact_mut(LANES);
-                for (group_rows, group_out) in (&mut row_groups).zip(&mut out_groups) {
-                    // SAFETY: width >= min_width, root from self.roots.
-                    unsafe { self.accumulate_lanes(root, group_rows, width, scale, group_out) };
-                }
-                for (slot, row) in out_groups
-                    .into_remainder()
-                    .iter_mut()
-                    .zip(row_groups.remainder().chunks_exact(width))
-                {
-                    // SAFETY: as above.
-                    *slot += scale * unsafe { self.leaf_unchecked(root, row) };
-                }
-            }
-        }
-        predictions
-    }
-
-    /// Walk [`LANES`] rows of one tree in lockstep, accumulating
-    /// `scale * leaf` into `out` (one slot per lane).
-    ///
-    /// # Safety
-    ///
-    /// `rows` holds exactly `LANES` rows of `width >= self.min_width` values
-    /// each, `out` has `LANES` slots, `root` comes from `self.roots`.
-    #[cfg(feature = "simd")]
-    unsafe fn accumulate_lanes(
-        &self,
-        root: usize,
-        rows: &[f64],
-        width: usize,
-        scale: f64,
-        out: &mut [f64],
-    ) {
-        let mut index = [root; LANES];
-        let mut leaf = [0.0f64; LANES];
-        let mut done = [false; LANES];
-        let mut live = LANES;
-        while live > 0 {
-            for lane in 0..LANES {
-                if done[lane] {
-                    continue;
-                }
-                let node = index[lane];
-                // SAFETY: `node` starts at a caller-validated root and is only ever
-                // replaced by `left`/`right` values, which `from_trees` builds
-                // strictly in-arena; the four parallel arrays share one length.
-                let feature = *self.feature.get_unchecked(node);
-                let threshold = *self.threshold.get_unchecked(node);
-                if feature == LEAF {
-                    leaf[lane] = threshold;
-                    done[lane] = true;
-                    live -= 1;
-                    continue;
-                }
-                // SAFETY: the caller hands `LANES` contiguous rows of `width >=
-                // min_width` elements and `feature < min_width` by construction, so
-                // `lane * width + feature` stays inside `rows`.
-                let value = *rows.get_unchecked(lane * width + feature as usize);
-                index[lane] = select_child(
-                    *self.left.get_unchecked(node),
-                    *self.right.get_unchecked(node),
-                    value <= threshold,
-                ) as usize;
-            }
-        }
-        for (slot, value) in out.iter_mut().zip(leaf) {
-            *slot += scale * value;
-        }
-    }
 }
 
 /// A fitted gradient-boosted tree ensemble.
@@ -403,39 +311,6 @@ impl BoostedTreesRegressor {
         predictions
     }
 
-    /// The cache-blocked, branch-free batch kernel ([`Regressor::predict_batch`]
-    /// without the SIMD lane); rows narrower than the forest's widest split
-    /// feature fall back to [`BoostedTreesRegressor::predict_batch_reference`]
-    /// so missing features still read as 0.0.
-    pub fn predict_batch_blocked(&self, rows: &[f64], width: usize) -> Vec<f64> {
-        if rows.is_empty() {
-            return Vec::new();
-        }
-        Self::check_batch_shape(rows, width);
-        if width < self.flat.min_width {
-            return self.predict_batch_reference(rows, width);
-        }
-        self.flat
-            .predict_blocked(rows, width, self.base_prediction, self.params.learning_rate)
-    }
-
-    /// The explicit-SIMD batch kernel (only with `--features simd`): the
-    /// blocked kernel with 8 rows per tree stepped in lockstep.  Narrow rows
-    /// fall back to the checked reference walk, like
-    /// [`BoostedTreesRegressor::predict_batch_blocked`].
-    #[cfg(feature = "simd")]
-    pub fn predict_batch_simd(&self, rows: &[f64], width: usize) -> Vec<f64> {
-        if rows.is_empty() {
-            return Vec::new();
-        }
-        Self::check_batch_shape(rows, width);
-        if width < self.flat.min_width {
-            return self.predict_batch_reference(rows, width);
-        }
-        self.flat
-            .predict_simd(rows, width, self.base_prediction, self.params.learning_rate)
-    }
-
     fn check_batch_shape(rows: &[f64], width: usize) {
         assert!(
             width > 0 && rows.len().is_multiple_of(width),
@@ -515,21 +390,21 @@ impl Regressor for BoostedTreesRegressor {
     /// Real batched inference over a row-major feature matrix: cache-blocked
     /// row×tree tiling of the flat arena with branch-free, bounds-check-free
     /// node stepping (the width was validated against the forest's widest split
-    /// feature at `from_trees` time); with `--features simd` the blocked kernel
-    /// additionally steps 8 rows per tree in lockstep.  Per row the additions
-    /// happen in the same order as [`Regressor::predict_one`], so every lane is
-    /// bit-identical to the default row loop.  Rows narrower than the widest
-    /// split feature take the checked reference walk (missing features read as
-    /// 0.0).
+    /// feature at `from_trees` time).  Per row the additions happen in the same
+    /// order as [`Regressor::predict_one`], so the result is bit-identical to
+    /// the default row loop.  Rows narrower than the widest split feature take
+    /// the checked walk of [`BoostedTreesRegressor::predict_batch_reference`]
+    /// (missing features read as 0.0).
     fn predict_batch(&self, rows: &[f64], width: usize) -> Vec<f64> {
-        #[cfg(feature = "simd")]
-        {
-            self.predict_batch_simd(rows, width)
+        if rows.is_empty() {
+            return Vec::new();
         }
-        #[cfg(not(feature = "simd"))]
-        {
-            self.predict_batch_blocked(rows, width)
+        Self::check_batch_shape(rows, width);
+        if width < self.flat.min_width {
+            return self.predict_batch_reference(rows, width);
         }
+        self.flat
+            .predict_blocked(rows, width, self.base_prediction, self.params.learning_rate)
     }
 
     fn is_fitted(&self) -> bool {
@@ -635,27 +510,18 @@ mod tests {
 
     #[test]
     fn batch_kernels_agree_bit_for_bit_with_the_row_loop() {
-        let data = synthetic(317); // odd count: exercises block and lane tails
+        let data = synthetic(317); // odd count: exercises the block tail
         let mut model = BoostedTreesRegressor::new(BoostingParams::fast());
         model.fit(&data).unwrap();
         let rows = data.feature_matrix();
         let width = data.n_features();
 
         let reference = model.predict_batch_reference(rows, width);
-        let blocked = model.predict_batch_blocked(rows, width);
-        let dispatched = model.predict_batch(rows, width);
+        let batch = model.predict_batch(rows, width);
         for i in 0..data.len() {
             let one = model.predict_one(data.features(i));
             assert_eq!(one.to_bits(), reference[i].to_bits(), "reference row {i}");
-            assert_eq!(one.to_bits(), blocked[i].to_bits(), "blocked row {i}");
-            assert_eq!(one.to_bits(), dispatched[i].to_bits(), "dispatch row {i}");
-        }
-        #[cfg(feature = "simd")]
-        {
-            let simd = model.predict_batch_simd(rows, width);
-            for i in 0..data.len() {
-                assert_eq!(reference[i].to_bits(), simd[i].to_bits(), "simd row {i}");
-            }
+            assert_eq!(one.to_bits(), batch[i].to_bits(), "batch row {i}");
         }
     }
 
@@ -665,14 +531,12 @@ mod tests {
         let mut model = BoostedTreesRegressor::new(BoostingParams::fast());
         model.fit(&data).unwrap();
         // width-1 rows are narrower than the widest split feature: the batch
-        // kernels must reproduce the missing-features-read-as-0.0 semantics
+        // kernel must reproduce the missing-features-read-as-0.0 semantics
         let narrow: Vec<f64> = (0..40).map(|i| (i % 23) as f64).collect();
-        let blocked = model.predict_batch_blocked(&narrow, 1);
-        let dispatched = model.predict_batch(&narrow, 1);
+        let batch = model.predict_batch(&narrow, 1);
         for (i, value) in narrow.iter().enumerate() {
             let one = model.predict_one(&[*value]);
-            assert_eq!(one.to_bits(), blocked[i].to_bits(), "row {i}");
-            assert_eq!(one.to_bits(), dispatched[i].to_bits(), "row {i}");
+            assert_eq!(one.to_bits(), batch[i].to_bits(), "row {i}");
         }
     }
 
@@ -683,7 +547,6 @@ mod tests {
         model.fit(&data).unwrap();
         assert!(model.predict_batch(&[], 2).is_empty());
         assert!(model.predict_batch_reference(&[], 2).is_empty());
-        assert!(model.predict_batch_blocked(&[], 2).is_empty());
     }
 
     #[test]

@@ -98,11 +98,11 @@ proptest! {
         }
     }
 
-    /// Every batch-kernel lane of the boosted ensemble — seed reference, cache-blocked
-    /// branch-free, and (with `--features simd`) the lockstep lane — produces
-    /// bit-identical predictions to `predict_one` accumulation, on full-width rows,
-    /// batch sizes that are not a multiple of the lane count, width-1 (narrow) rows
-    /// and empty batches.
+    /// Both batch kernels of the boosted ensemble — the seed reference and the
+    /// cache-blocked branch-free `predict_batch` — produce bit-identical
+    /// predictions to `predict_one` accumulation, on full-width rows, batch sizes
+    /// that are not a multiple of the row block, width-1 (narrow) rows and empty
+    /// batches.
     #[test]
     fn batch_kernel_lanes_are_bit_identical(
         data in arb_dataset(60),
@@ -119,49 +119,33 @@ proptest! {
         model.fit(&data).unwrap();
         let width = data.n_features();
 
-        // full batch plus an arbitrary prefix (odd sizes exercise block/lane tails)
+        // full batch plus an arbitrary prefix (odd sizes exercise the block tail)
         let prefix = prefix_rows.min(data.len());
         for rows in [data.feature_matrix(), &data.feature_matrix()[..prefix * width]] {
             let reference = model.predict_batch_reference(rows, width);
-            let blocked = model.predict_batch_blocked(rows, width);
-            let dispatched = model.predict_batch(rows, width);
+            let batch = model.predict_batch(rows, width);
             prop_assert_eq!(reference.len(), rows.len() / width);
             for (i, row) in rows.chunks_exact(width).enumerate() {
                 let one = model.predict_one(row);
                 prop_assert_eq!(one.to_bits(), reference[i].to_bits(), "reference row {}", i);
-                prop_assert_eq!(one.to_bits(), blocked[i].to_bits(), "blocked row {}", i);
-                prop_assert_eq!(one.to_bits(), dispatched[i].to_bits(), "dispatch row {}", i);
-            }
-            #[cfg(feature = "simd")]
-            {
-                let simd = model.predict_batch_simd(rows, width);
-                for (i, value) in simd.iter().enumerate() {
-                    prop_assert_eq!(reference[i].to_bits(), value.to_bits(), "simd row {}", i);
-                }
+                prop_assert_eq!(one.to_bits(), batch[i].to_bits(), "batch row {}", i);
             }
         }
 
         // width-1 rows are narrower than the 2-feature schema: missing features
-        // must read as 0.0 on every lane
+        // must read as 0.0 on both kernels
         let narrow: Vec<f64> = data.feature_matrix().iter().step_by(width).take(11).copied().collect();
-        let narrow_blocked = model.predict_batch_blocked(&narrow, 1);
-        let narrow_dispatched = model.predict_batch(&narrow, 1);
-        #[cfg(feature = "simd")]
-        let narrow_simd = model.predict_batch_simd(&narrow, 1);
+        let narrow_reference = model.predict_batch_reference(&narrow, 1);
+        let narrow_batch = model.predict_batch(&narrow, 1);
         for (i, value) in narrow.iter().enumerate() {
             let one = model.predict_one(&[*value]);
-            prop_assert_eq!(one.to_bits(), narrow_blocked[i].to_bits(), "narrow row {}", i);
-            prop_assert_eq!(one.to_bits(), narrow_dispatched[i].to_bits(), "narrow row {}", i);
-            #[cfg(feature = "simd")]
-            prop_assert_eq!(one.to_bits(), narrow_simd[i].to_bits(), "narrow simd row {}", i);
+            prop_assert_eq!(one.to_bits(), narrow_reference[i].to_bits(), "narrow reference row {}", i);
+            prop_assert_eq!(one.to_bits(), narrow_batch[i].to_bits(), "narrow row {}", i);
         }
 
-        // empty batches predict nothing on every lane
+        // empty batches predict nothing on either kernel
         prop_assert!(model.predict_batch(&[], width).is_empty());
         prop_assert!(model.predict_batch_reference(&[], width).is_empty());
-        prop_assert!(model.predict_batch_blocked(&[], width).is_empty());
-        #[cfg(feature = "simd")]
-        prop_assert!(model.predict_batch_simd(&[], width).is_empty());
     }
 
     /// Linear regression reproduces an exactly linear relationship to high precision.

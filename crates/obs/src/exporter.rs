@@ -5,7 +5,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::recorder::{FieldValue, IterationEvent, Recorder};
 use crate::{escape_json, EVENT_SCHEMA_VERSION};
@@ -17,7 +17,8 @@ use crate::{escape_json, EVENT_SCHEMA_VERSION};
 /// loader ([`crate::EventLog::read`]) skips a truncated tail.  Write errors are
 /// parked on first occurrence (the `Recorder` methods cannot return them) and
 /// surfaced by [`JsonlExporter::flush`]; once a write fails the exporter drops
-/// subsequent events rather than recording a stream with a hole in the middle.
+/// subsequent events rather than recording a stream with a hole in the middle.  A
+/// writer poisoned by a thread that panicked mid-write counts as a failed write.
 ///
 /// Every energy and temperature is serialized twice: as a human-readable decimal and
 /// as the exact IEEE-754 bit pattern (`*_bits` hex fields, authoritative on replay),
@@ -70,32 +71,38 @@ impl JsonlExporter {
 
     /// Flush the underlying writer and surface the first parked write error, if any.
     pub fn flush(&self) -> io::Result<()> {
-        if let Some(err) = self
-            .write_error
-            .lock()
-            .expect("exporter error slot poisoned")
-            .take()
-        {
+        if let Some(err) = self.error_slot().take() {
             return Err(err);
         }
+        self.writer()?.flush()
+    }
+
+    /// The parked-error slot, recovering from poisoning: it only ever holds a
+    /// whole `Option<io::Error>`.
+    fn error_slot(&self) -> MutexGuard<'_, Option<io::Error>> {
+        self.write_error
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The file writer.  A poisoned writer is an error, not something to recover:
+    /// the thread that panicked holding it may have left a torn line in the buffer.
+    fn writer(&self) -> io::Result<MutexGuard<'_, BufWriter<File>>> {
         self.writer
             .lock()
-            .expect("exporter writer poisoned")
-            .flush()
+            .map_err(|_| io::Error::other("event writer poisoned by a panic mid-write"))
     }
 
     fn append_line(&self, line: &str) {
-        let mut error_slot = self
-            .write_error
-            .lock()
-            .expect("exporter error slot poisoned");
+        let mut error_slot = self.error_slot();
         if error_slot.is_some() {
             // a previous write failed: drop the event instead of recording a stream
             // with a silent gap before this point
             return;
         }
-        let mut writer = self.writer.lock().expect("exporter writer poisoned");
-        let outcome = writeln!(writer, "{line}").and_then(|()| writer.flush());
+        let outcome = self
+            .writer()
+            .and_then(|mut writer| writeln!(writer, "{line}").and_then(|()| writer.flush()));
         match outcome {
             Ok(()) => {
                 self.events_written.fetch_add(1, Ordering::Relaxed);
@@ -258,6 +265,30 @@ mod tests {
             }
             other => panic!("expected iteration, got {other:?}"),
         }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_poisoned_writer_fails_the_flush_and_drops_events() {
+        let path = temp_path("poisoned");
+        let exporter = JsonlExporter::create(&path).unwrap();
+        exporter.counter("n", 1);
+        let poisoner = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _guard = exporter.writer.lock();
+                    panic!("poison the event writer");
+                })
+                .join()
+        });
+        assert!(poisoner.is_err());
+        exporter.counter("n", 2);
+        exporter.counter("n", 3);
+        assert_eq!(exporter.events_written(), 1);
+        assert!(exporter.flush().is_err());
+        drop(exporter);
+        let log = EventLog::read(&path).unwrap();
+        assert_eq!(log.events.len(), 1);
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -1,7 +1,7 @@
 //! The shared in-memory [`Registry`] and its serializable [`MetricsSnapshot`].
 
 use std::collections::BTreeMap;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::recorder::{FieldValue, IterationEvent, Recorder};
 
@@ -131,9 +131,16 @@ impl Registry {
         Registry::default()
     }
 
+    /// The metric maps, recovering from poisoning: every critical section below
+    /// is a sequence of whole-entry inserts and updates, so the maps stay
+    /// consistent even if a thread panicked while holding the guard.
+    fn lock(&self) -> MutexGuard<'_, RegistryInner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// A point-in-time copy of everything recorded so far.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let inner = self.inner.lock().expect("metrics registry poisoned");
+        let inner = self.lock();
         MetricsSnapshot {
             counters: inner.counters.clone(),
             gauges: inner.gauges.clone(),
@@ -147,17 +154,17 @@ impl Registry {
 
 impl Recorder for Registry {
     fn counter(&self, name: &str, delta: u64) {
-        let mut inner = self.inner.lock().expect("metrics registry poisoned");
+        let mut inner = self.lock();
         *inner.counters.entry(name.to_string()).or_insert(0) += delta;
     }
 
     fn gauge(&self, name: &str, value: f64) {
-        let mut inner = self.inner.lock().expect("metrics registry poisoned");
+        let mut inner = self.lock();
         inner.gauges.insert(name.to_string(), value);
     }
 
     fn observe(&self, name: &str, value: f64) {
-        let mut inner = self.inner.lock().expect("metrics registry poisoned");
+        let mut inner = self.lock();
         match inner.histograms.get_mut(name) {
             Some(summary) => summary.record(value),
             None => {
@@ -169,7 +176,7 @@ impl Recorder for Registry {
     }
 
     fn span(&self, name: &str, seconds: f64, fields: &[(&str, FieldValue)]) {
-        let mut inner = self.inner.lock().expect("metrics registry poisoned");
+        let mut inner = self.lock();
         match inner.spans.get_mut(name) {
             Some(summary) => summary.record(seconds),
             None => {
@@ -192,7 +199,7 @@ impl Recorder for Registry {
     }
 
     fn iteration(&self, scope: &str, event: IterationEvent) {
-        let mut inner = self.inner.lock().expect("metrics registry poisoned");
+        let mut inner = self.lock();
         match inner.iterations.get_mut(scope) {
             Some(summary) => summary.record(event),
             None => {
@@ -204,7 +211,7 @@ impl Recorder for Registry {
     }
 
     fn event(&self, scope: &str, kind: &str, _fields: &[(&str, FieldValue)]) {
-        let mut inner = self.inner.lock().expect("metrics registry poisoned");
+        let mut inner = self.lock();
         *inner.events.entry(format!("{scope}/{kind}")).or_insert(0) += 1;
     }
 }
@@ -436,6 +443,27 @@ mod tests {
         assert!(
             json.contains("\"inf\": {\"value\": \"inf\", \"value_bits\": \"7ff0000000000000\"}")
         );
+    }
+
+    #[test]
+    fn a_poisoned_registry_keeps_recording() {
+        let registry = Registry::new();
+        registry.counter("n", 1);
+        let poisoner = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _guard = registry.inner.lock();
+                    panic!("poison the metrics registry");
+                })
+                .join()
+        });
+        assert!(poisoner.is_err());
+        assert!(registry.inner.is_poisoned());
+        registry.counter("n", 2);
+        registry.span("run", 0.5, &[]);
+        let snapshot = registry.snapshot();
+        assert_eq!(snapshot.counters["n"], 3);
+        assert_eq!(snapshot.spans["run"].count, 1);
     }
 
     #[test]
