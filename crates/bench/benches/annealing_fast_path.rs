@@ -13,10 +13,20 @@
 //! accepted move, the ≥ 5× empty-vs-direct reduction (asserted), and the bit-identity
 //! of all three trajectories.  The measurement logic is
 //! `wd_bench::measure_annealing_fast_path`.
+//!
+//! The `shared_table` pair is one convergence-study case's SAML work on the Table-I
+//! space: 24 `MethodRunner` runs (8 budgets × 3 seeds) lent one table prefilled
+//! with the space (`MethodRunner::with_table`), vs. the same runs each over its
+//! own empty table.  Before timing, it asserts that both give bit-identical best
+//! energies and `cache` counters, and that the shared table walks no more rows than
+//! the space's axis product.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dna_analysis::Genome;
-use hetero_autotune::{ConfigurationSpace, TrainingCampaign};
+use hetero_autotune::experiments::paper_iteration_budgets;
+use hetero_autotune::{
+    ConfigurationSpace, MethodKind, MethodOutcome, MethodRunner, TrainingCampaign,
+};
 use hetero_platform::HeterogeneousPlatform;
 use wd_bench::{measure_annealing_fast_path, two_accel_bench_grid};
 use wd_ml::BoostingParams;
@@ -130,6 +140,74 @@ fn bench_annealing_fast_path(c: &mut Criterion) {
             let tables = prediction.lazy_tabulated();
             sa.run_delta(&two_accel, &tables)
         });
+    });
+    group.finish();
+
+    // one study case's 24 SAML runs: one shared prefilled table vs. 24 private ones
+    let runs: Vec<(u64, usize)> = (0..3u64)
+        .flat_map(|seed| {
+            paper_iteration_budgets()
+                .into_iter()
+                .map(move |b| (SEED + seed, b))
+        })
+        .collect();
+    let saml = |table: Option<&hetero_autotune::TabulatedPredictionEvaluator<'_>>| {
+        runs.iter()
+            .map(|&(seed, budget)| {
+                let runner = MethodRunner::new(&platform, &workload, Some(&models), seed)
+                    .with_space(table1.clone());
+                match table {
+                    Some(table) => runner.with_table(table),
+                    None => runner,
+                }
+                .run(MethodKind::Saml, budget)
+                .expect("SAML runs with trained models")
+            })
+            .collect::<Vec<MethodOutcome>>()
+    };
+    let prediction = models.prediction_evaluator(workload.clone());
+    let table = prediction.tabulated(&table1);
+    let shared = saml(Some(&table));
+    let private = saml(None);
+    for (a, b) in shared.iter().zip(&private) {
+        assert_eq!(a.best_config, b.best_config);
+        assert_eq!(a.search_energy.to_bits(), b.search_energy.to_bits());
+        assert_eq!(a.measured_energy.to_bits(), b.measured_energy.to_bits());
+        assert_eq!(
+            a.cache, b.cache,
+            "a shared table must not change a run's counters"
+        );
+    }
+    // the space's axis product, zero shares excluded
+    let shares = table1.splits.iter().filter(|split| split[0] != 0).count();
+    let axis_rows = table1.host_threads.len() * table1.host_affinities.len() * shares
+        + table1
+            .device_axes
+            .iter()
+            .map(|axis| axis.threads.len() * axis.affinities.len() * shares)
+            .sum::<usize>();
+    let private_walks: usize = private.iter().map(|outcome| outcome.cache.misses).sum();
+    println!(
+        "24 SAML runs on the Table-I space: one shared table walked {} rows (axis product {axis_rows}), \
+         24 private tables walked {private_walks}; best energies and counters identical",
+        table.model_queries()
+    );
+    assert!(
+        table.model_queries() <= axis_rows,
+        "the shared table walked {} rows, more than the axis product {axis_rows}",
+        table.model_queries()
+    );
+
+    let mut group = c.benchmark_group("shared_table");
+    group.sample_size(10);
+    group.bench_function("table1_saml_x24_shared_prefilled", |b| {
+        b.iter(|| {
+            let table = prediction.tabulated(&table1);
+            saml(Some(&table))
+        });
+    });
+    group.bench_function("table1_saml_x24_private_empty", |b| {
+        b.iter(|| saml(None));
     });
     group.finish();
 }

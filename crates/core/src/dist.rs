@@ -7,18 +7,14 @@
 //!   across processes;
 //! * [`run_enumeration_sharded`] runs EM or EML as a [`ShardedCampaign`] — one
 //!   simulated node per shard — and returns the usual [`MethodOutcome`], bit-identical
-//!   to the single-node [`MethodRunner`] result;
-//! * [`ConvergenceStudy::run_sharded`] is the convergence study with its enumeration
-//!   references driven through sharded campaigns.
+//!   to the single-node [`MethodRunner`] result.
 
-use dna_analysis::Genome;
 use hetero_platform::{Affinity, HeterogeneousPlatform, WorkloadProfile};
-use wd_dist::{ConfigKey, MemoryStore, ResultStore, ShardedCampaign};
+use wd_dist::{ConfigKey, ResultStore, ShardedCampaign};
 use wd_opt::OptimizationTrace;
 
 use crate::config::{ConfigurationSpace, DeviceSetting, SystemConfiguration};
 use crate::evaluator::MeasurementEvaluator;
-use crate::experiments::ConvergenceStudy;
 use crate::methods::{MethodKind, MethodOutcome};
 use crate::training::TrainedModels;
 
@@ -197,78 +193,12 @@ pub fn campaign_context(method: MethodKind, workload: &WorkloadProfile) -> Strin
     )
 }
 
-impl ConvergenceStudy {
-    /// [`ConvergenceStudy::run_with_repeats`] with the EM/EML references computed by
-    /// sharded campaigns (`shard_count` simulated nodes per reference, each method
-    /// against its own in-memory store — measured and predicted energies must not
-    /// share a store).  The annealing methods are sequential walks and run locally,
-    /// unchanged.
-    pub fn run_sharded(
-        platform: &HeterogeneousPlatform,
-        models: &TrainedModels,
-        genomes: &[Genome],
-        budgets: &[usize],
-        seed: u64,
-        repeats: usize,
-        shard_count: usize,
-    ) -> Self {
-        Self::run_sharded_scaled(
-            platform,
-            models,
-            genomes,
-            budgets,
-            seed,
-            repeats,
-            shard_count,
-            &ConfigurationSpace::enumeration_grid(),
-            &ConfigurationSpace::paper(),
-        )
-    }
-
-    /// [`ConvergenceStudy::run_sharded`] with explicit enumeration grid and annealing
-    /// space (the knob tests use to shrink the study).
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_sharded_scaled(
-        platform: &HeterogeneousPlatform,
-        models: &TrainedModels,
-        genomes: &[Genome],
-        budgets: &[usize],
-        seed: u64,
-        repeats: usize,
-        shard_count: usize,
-        grid: &ConfigurationSpace,
-        space: &ConfigurationSpace,
-    ) -> Self {
-        let cases: Vec<(String, Option<Genome>, WorkloadProfile)> = genomes
-            .iter()
-            .map(|&genome| (genome.name().to_string(), Some(genome), genome.workload()))
-            .collect();
-        let reference = |workload: &WorkloadProfile, _case_seed: u64, method: MethodKind| {
-            let store = MemoryStore::new();
-            run_enumeration_sharded(
-                platform,
-                workload,
-                Some(models),
-                method,
-                grid,
-                shard_count,
-                &store,
-            )
-            .expect("enumeration methods cannot fail with models present")
-        };
-        Self::run_cases(
-            platform, models, &cases, budgets, seed, repeats, grid, space, &reference,
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::methods::MethodRunner;
-    use crate::training::TrainingCampaign;
-    use wd_dist::JsonlStore;
-    use wd_ml::BoostingParams;
+    use dna_analysis::Genome;
+    use wd_dist::{JsonlStore, MemoryStore};
     use wd_opt::CacheStats;
 
     fn platform() -> HeterogeneousPlatform {
@@ -449,37 +379,5 @@ mod tests {
             }
         );
         std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn sharded_convergence_study_matches_the_local_study() {
-        let platform = platform();
-        let models = TrainingCampaign::reduced().run(&platform, BoostingParams::fast());
-        let genomes = [Genome::Cat];
-        let budgets = [100usize];
-        let tiny = ConfigurationSpace::tiny();
-
-        let local = ConvergenceStudy::run_cases_scaled(
-            &platform,
-            &models,
-            &[("cat".to_string(), Some(Genome::Cat), Genome::Cat.workload())],
-            &budgets,
-            11,
-            1,
-            &tiny,
-            &tiny,
-        );
-        let sharded = ConvergenceStudy::run_sharded_scaled(
-            &platform, &models, &genomes, &budgets, 11, 1, 3, &tiny, &tiny,
-        );
-        assert_eq!(sharded.cases.len(), 1);
-        let (a, b) = (&local.cases[0], &sharded.cases[0]);
-        // the sharded enumeration references are bit-identical to the local ones
-        assert_eq!(a.em.best_config, b.em.best_config);
-        assert_eq!(a.em.search_energy.to_bits(), b.em.search_energy.to_bits());
-        assert_eq!(a.eml.best_config, b.eml.best_config);
-        // and the annealing runs (same seeds, untouched by sharding) agree too
-        assert_eq!(a.saml[0].1.best_config, b.saml[0].1.best_config);
-        assert_eq!(b.em.cache.misses as u128, tiny.total_configurations());
     }
 }

@@ -24,6 +24,7 @@
 //! configuration and runs on the bare evaluator; wrap an evaluator in
 //! [`wd_opt::CachedObjective`] only for walks that revisit configurations (SAM).
 
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::RwLock;
@@ -275,12 +276,12 @@ impl PredictionEvaluator {
     /// workload under `config`.  A device that receives no work reports 0.
     pub fn evaluate_all_times(&self, config: &SystemConfiguration) -> (f64, Vec<f64>) {
         self.assert_arity(config.accelerator_count());
-        let host = self.config_host_time(config);
+        let host = self.component_time(0, host_key(config));
         let devices = config
             .devices()
             .iter()
             .enumerate()
-            .map(|(index, &device)| self.config_device_time(index, device))
+            .map(|(index, &device)| self.component_time(index + 1, device_key(device)))
             .collect();
         (host, devices)
     }
@@ -309,11 +310,12 @@ impl PredictionEvaluator {
         table
     }
 
-    /// The factorized fast path for *local-search* walks: a
-    /// [`TabulatedPredictionEvaluator`] whose per-device time tables start empty and
-    /// fill on first touch, so a SAML/GAML walk (or the adaptive refinement
-    /// controller) pays one model query per *distinct* `(threads, affinity, share)`
-    /// triple it ever visits instead of one per device per move.
+    /// A [`TabulatedPredictionEvaluator`] whose per-device time tables start empty and
+    /// fill on first touch, so a walk pays one model query per *distinct*
+    /// `(threads, affinity, share)` triple it ever visits instead of one per device per
+    /// move.  A standalone SAML/GAML run ([`crate::MethodRunner::run`] without a
+    /// borrowed table) walks a private one; the adaptive refinement controller probes
+    /// one directly.
     pub fn lazy_tabulated(&self) -> TabulatedPredictionEvaluator<'_> {
         TabulatedPredictionEvaluator::new(self)
     }
@@ -326,25 +328,18 @@ impl PredictionEvaluator {
         );
     }
 
-    /// The host time of `config` exactly as [`PredictionEvaluator::evaluate_all_times`]
-    /// computes it (zero share short-circuits to 0 without a model query).
-    fn config_host_time(&self, config: &SystemConfiguration) -> f64 {
-        let bytes = share_bytes(self.workload.bytes, config.host_permille());
+    /// The time of component `component` (0 is the host, `i + 1` accelerator `i`) under
+    /// its own `(threads, affinity, share permille)` setting, exactly as
+    /// [`PredictionEvaluator::evaluate_all_times`] computes it: a zero share
+    /// short-circuits to 0 without a model query.
+    fn component_time(&self, component: usize, (threads, affinity, permille): TableKey) -> f64 {
+        let bytes = share_bytes(self.workload.bytes, permille);
         if bytes == 0 {
             0.0
+        } else if component == 0 {
+            self.predict_host(threads, affinity, bytes)
         } else {
-            self.predict_host(config.host_threads, config.host_affinity, bytes)
-        }
-    }
-
-    /// The time of accelerator `index` under setting `device`, exactly as
-    /// [`PredictionEvaluator::evaluate_all_times`] computes it.
-    fn config_device_time(&self, index: usize, device: DeviceSetting) -> f64 {
-        let bytes = share_bytes(self.workload.bytes, device.permille);
-        if bytes == 0 {
-            0.0
-        } else {
-            self.predict_device_on(index, device.threads, device.affinity, bytes)
+            self.predict_device_on(component - 1, threads, affinity, bytes)
         }
     }
 }
@@ -387,15 +382,41 @@ impl DeltaObjective<SystemConfiguration> for PredictionEvaluator {
             state,
             config,
             touched,
-            || self.config_host_time(config),
-            |index, device| self.config_device_time(index, device),
+            || self.component_time(0, host_key(config)),
+            |index, device| self.component_time(index + 1, device_key(device)),
         )
     }
 }
 
-/// One per-device time table of the factorized fast path, keyed by that device's own
-/// `(threads, affinity, share permille)` axis.
-type TimeTable = HashMap<(u32, Affinity, u32), f64>;
+/// The key of one per-device time table: that device's own
+/// `(threads, affinity, share permille)` setting.
+type TableKey = (u32, Affinity, u32);
+
+/// The host's table key under `config`.
+fn host_key(config: &SystemConfiguration) -> TableKey {
+    (
+        config.host_threads,
+        config.host_affinity,
+        config.host_permille(),
+    )
+}
+
+/// An accelerator's table key under its setting `device`.
+fn device_key(device: DeviceSetting) -> TableKey {
+    (device.threads, device.affinity, device.permille)
+}
+
+/// One per-device time table: each entry's predicted time and its index, the
+/// entry's insertion rank.  Entries are never removed, so a table of `n` entries
+/// holds the indices `0..n`; a [`TableView`] marks the entries its run touched by
+/// index.
+type TimeTable = HashMap<TableKey, (f64, usize)>;
+
+/// Insert `time` under `key` unless the entry exists; return the entry either way.
+fn insert(table: &mut TimeTable, key: TableKey, time: f64) -> (f64, usize) {
+    let index = table.len();
+    *table.entry(key).or_insert((time, index))
+}
 
 /// Number of table entries scored per batched model call of a prefill.
 const TABLE_BATCH: usize = 256;
@@ -419,10 +440,16 @@ const TABLE_BATCH: usize = 256;
 ///   [`PredictionEvaluator::tabulated`] fills them up front through
 ///   [`TabulatedPredictionEvaluator::prefill`] (batched, rayon-parallel
 ///   [`wd_ml::Regressor::predict_batch`] calls) and the scan adds no model query;
-/// * a walk visits too few configurations to amortise a full prefill, so
-///   [`PredictionEvaluator::lazy_tabulated`] starts empty: a 2 000-iteration SAML
-///   walk revisits the same few dozen axis values, and its model cost is bounded by
-///   the number of *distinct* triples visited, not by the walk length.
+/// * one walk visits too few configurations to amortise a full prefill, so a
+///   standalone SAML/GAML run starts from [`PredictionEvaluator::lazy_tabulated`]:
+///   a 2 000-iteration SAML walk revisits the same few dozen axis values, and its
+///   model cost is bounded by the number of *distinct* triples visited, not by the
+///   walk length;
+/// * the convergence study runs EML and 48 SAML/GAML walks per case, so it builds
+///   one table per case, prefilled with the annealing space, lets EML prefill its
+///   grid into the same table, and lends it to every walk
+///   ([`crate::MethodRunner::with_table`]): each per-device row is walked once per
+///   case instead of once per run.
 ///
 /// Either way every energy is **bit-identical** to [`PredictionEvaluator`]: the
 /// tables store exactly what `predict_host` / `predict_device_on` would return, zero
@@ -434,7 +461,9 @@ const TABLE_BATCH: usize = 256;
 /// repeats); under a race two workers may redundantly query the model for the same
 /// fresh entry — the values are identical, one wins the insert, and
 /// [`TabulatedPredictionEvaluator::model_queries`] counts both walks (it reports real
-/// model cost, not distinct entries).
+/// model cost, not distinct entries).  The table's counters cover every user; what
+/// one `MethodRunner` walk reports as its own cost comes from its per-run view,
+/// which counts what a private empty table would have counted for that walk.
 ///
 /// Implements [`DeltaObjective`], so the incremental drivers
 /// ([`wd_opt::SimulatedAnnealing::run_delta`] and friends) re-probe only the devices
@@ -442,19 +471,18 @@ const TABLE_BATCH: usize = 256;
 /// tables are warm — zero model queries.
 pub struct TabulatedPredictionEvaluator<'a> {
     inner: &'a PredictionEvaluator,
-    host: RwLock<TimeTable>,
-    devices: Vec<RwLock<TimeTable>>,
+    /// One table per component: the host's first, then one per trained device model.
+    tables: Vec<RwLock<TimeTable>>,
     probes: AtomicUsize,
     model_queries: AtomicUsize,
 }
 
 impl<'a> TabulatedPredictionEvaluator<'a> {
-    /// Wrap `inner` with empty tables (one per trained device model).
+    /// Wrap `inner` with empty tables (one for the host, one per trained device model).
     pub fn new(inner: &'a PredictionEvaluator) -> Self {
         TabulatedPredictionEvaluator {
             inner,
-            host: RwLock::new(TimeTable::new()),
-            devices: (0..inner.device_models.len())
+            tables: (0..=inner.device_models.len())
                 .map(|_| RwLock::new(TimeTable::new()))
                 .collect(),
             probes: AtomicUsize::new(0),
@@ -484,7 +512,7 @@ impl<'a> TabulatedPredictionEvaluator<'a> {
         };
 
         self.fill_axis(
-            &self.host,
+            &self.tables[0],
             inner.host_model.as_ref(),
             &space.host_threads,
             &space.host_affinities,
@@ -496,7 +524,7 @@ impl<'a> TabulatedPredictionEvaluator<'a> {
         let overhead = inner.device_fixed_overhead;
         for (index, axis) in space.device_axes.iter().enumerate() {
             self.fill_axis(
-                &self.devices[index],
+                &self.tables[index + 1],
                 inner.device_models[index].as_ref(),
                 &axis.threads,
                 &axis.affinities,
@@ -523,7 +551,7 @@ impl<'a> TabulatedPredictionEvaluator<'a> {
         finish: &(dyn Fn(f64) -> f64 + Sync),
     ) {
         let total_bytes = self.inner.workload.bytes;
-        let mut queried: Vec<(u32, Affinity, u32)> = Vec::new();
+        let mut queried: Vec<TableKey> = Vec::new();
         let mut entries = write_lock(table);
         for &t in threads {
             for &a in affinities {
@@ -534,7 +562,7 @@ impl<'a> TabulatedPredictionEvaluator<'a> {
                     }
                     if share_bytes(total_bytes, share) == 0 {
                         // a side that receives no work reports 0, without a model query
-                        entries.insert(key, 0.0);
+                        insert(&mut entries, key, 0.0);
                     } else {
                         queried.push(key);
                     }
@@ -567,7 +595,7 @@ impl<'a> TabulatedPredictionEvaluator<'a> {
         let mut table = write_lock(table);
         for (chunk, chunk_predictions) in queried.chunks(TABLE_BATCH).zip(predictions) {
             for (&key, &time) in chunk.iter().zip(&chunk_predictions) {
-                table.entry(key).or_insert(time);
+                insert(&mut table, key, time);
             }
         }
     }
@@ -577,10 +605,11 @@ impl<'a> TabulatedPredictionEvaluator<'a> {
         self.inner
     }
 
-    /// Total number of per-device table probes served so far (every energy evaluation
-    /// performs one probe for the host plus one per accelerator; a delta re-evaluation
-    /// probes only the touched components).  [`TabulatedPredictionEvaluator::prefill`]
-    /// fills tables without probing.
+    /// Total number of per-device table probes served so far, through the table
+    /// itself or through any run's view of it (every energy evaluation performs one
+    /// probe for the host plus one per accelerator; a delta re-evaluation probes only
+    /// the touched components).  [`TabulatedPredictionEvaluator::prefill`] fills
+    /// tables without probing.
     pub fn probes(&self) -> usize {
         self.probes.load(Ordering::Relaxed)
     }
@@ -596,23 +625,22 @@ impl<'a> TabulatedPredictionEvaluator<'a> {
 
     /// Total number of table entries memoized so far across the host and all devices.
     pub fn table_len(&self) -> usize {
-        read_lock(&self.host).len()
-            + self
-                .devices
-                .iter()
-                .map(|table| read_lock(table).len())
-                .sum::<usize>()
+        self.tables.iter().map(|table| read_lock(table).len()).sum()
+    }
+
+    fn counters(&self) -> TableCounters {
+        TableCounters {
+            probes: self.probes(),
+            model_walks: self.model_queries(),
+            entries: self.table_len(),
+        }
     }
 
     /// Hit/miss counters at the *per-device probe* granularity: `misses` is the number
     /// of model walks performed (the real evaluation cost), `hits` every probe
     /// answered without one (warm table entries and zero-share short-circuits).
     pub fn stats(&self) -> CacheStats {
-        let misses = self.model_queries();
-        CacheStats {
-            hits: self.probes().saturating_sub(misses),
-            misses,
-        }
+        self.counters().stats()
     }
 
     /// Publish the table counters to `recorder` as `{scope}.lazy.*`: probes served,
@@ -620,77 +648,38 @@ impl<'a> TabulatedPredictionEvaluator<'a> {
     /// read once at the end of a run, never on the evaluation path), so observed runs
     /// stay bit-identical.
     pub fn publish_stats(&self, recorder: &dyn wd_obs::Recorder, scope: &str) {
-        if !recorder.enabled() {
-            return;
-        }
-        recorder.counter(&format!("{scope}.lazy.probes"), self.probes() as u64);
-        recorder.counter(
-            &format!("{scope}.lazy.model_walks"),
-            self.model_queries() as u64,
-        );
-        recorder.counter(
-            &format!("{scope}.lazy.table_entries"),
-            self.table_len() as u64,
-        );
+        self.counters().publish(recorder, scope);
     }
 
-    /// Probe one table, filling the entry through the direct model path `compute`
-    /// on first touch (a zero share is filled without a model walk).
-    fn probe(
-        &self,
-        table: &RwLock<TimeTable>,
-        key: (u32, Affinity, u32),
-        compute: impl FnOnce() -> f64,
-    ) -> f64 {
+    /// Probe one entry of component `component`'s table, filling it through the
+    /// direct model path on first touch (a zero share is filled without a model
+    /// walk).  Returns the entry: its time and its index.
+    fn probe_entry(&self, component: usize, key: TableKey) -> (f64, usize) {
         self.probes.fetch_add(1, Ordering::Relaxed);
-        if let Some(&time) = read_lock(table).get(&key) {
-            return time;
+        let table = &self.tables[component];
+        if let Some(&entry) = read_lock(table).get(&key) {
+            return entry;
         }
-        let time = compute();
+        let time = self.inner.component_time(component, key);
         if share_bytes(self.inner.workload.bytes, key.2) != 0 {
             self.model_queries.fetch_add(1, Ordering::Relaxed);
         }
         // a racing worker may have filled the entry while we computed; the values are
         // identical (models are deterministic), so first insert wins
-        write_lock(table).entry(key).or_insert(time);
-        time
-    }
-
-    fn host_time(&self, config: &SystemConfiguration) -> f64 {
-        let key = (
-            config.host_threads,
-            config.host_affinity,
-            config.host_permille(),
-        );
-        self.probe(&self.host, key, || self.inner.config_host_time(config))
-    }
-
-    fn device_time(&self, index: usize, device: DeviceSetting) -> f64 {
-        let key = (device.threads, device.affinity, device.permille);
-        self.probe(&self.devices[index], key, || {
-            self.inner.config_device_time(index, device)
-        })
+        insert(&mut write_lock(table), key, time)
     }
 
     /// Predicted host time plus one predicted time per accelerator, served from (and
     /// memoized into) the tables — bit-identical to
     /// [`PredictionEvaluator::evaluate_all_times`].
     pub fn evaluate_all_times(&self, config: &SystemConfiguration) -> (f64, Vec<f64>) {
-        self.inner.assert_arity(config.accelerator_count());
-        let host = self.host_time(config);
-        let devices = config
-            .devices()
-            .iter()
-            .enumerate()
-            .map(|(index, &device)| self.device_time(index, device))
-            .collect();
-        (host, devices)
+        self.probe_times(config)
     }
 
     /// Predicted `(T_host, T_device)` where `T_device` is the slowest accelerator —
     /// the oracle shape [`crate::AdaptiveRefinement::refine_with`] consumes.
     pub fn evaluate_times(&self, config: &SystemConfiguration) -> (f64, f64) {
-        let (host, devices) = self.evaluate_all_times(config);
+        let (host, devices) = self.probe_times(config);
         (host, devices.into_iter().fold(0.0, f64::max))
     }
 
@@ -698,28 +687,121 @@ impl<'a> TabulatedPredictionEvaluator<'a> {
     /// max-composition — the same fold, in the same order, as
     /// [`PredictionEvaluator::energy`], without collecting the per-device times.
     pub fn energy(&self, config: &SystemConfiguration) -> f64 {
-        self.inner.assert_arity(config.accelerator_count());
-        let host = self.host_time(config);
+        self.probe_energy(config)
+    }
+}
+
+/// What a table, or one run's view of it, has served.
+struct TableCounters {
+    probes: usize,
+    model_walks: usize,
+    entries: usize,
+}
+
+impl TableCounters {
+    /// `misses` are the model walks, `hits` every other probe.
+    fn stats(&self) -> CacheStats {
+        CacheStats {
+            hits: self.probes.saturating_sub(self.model_walks),
+            misses: self.model_walks,
+        }
+    }
+
+    /// Publish as `{scope}.lazy.probes`, `{scope}.lazy.model_walks` and
+    /// `{scope}.lazy.table_entries` (nothing when the recorder is disabled).
+    fn publish(&self, recorder: &dyn wd_obs::Recorder, scope: &str) {
+        if !recorder.enabled() {
+            return;
+        }
+        recorder.counter(&format!("{scope}.lazy.probes"), self.probes as u64);
+        recorder.counter(
+            &format!("{scope}.lazy.model_walks"),
+            self.model_walks as u64,
+        );
+        recorder.counter(&format!("{scope}.lazy.table_entries"), self.entries as u64);
+    }
+}
+
+/// A reader of the per-device time tables: the table itself, or one run's
+/// [`TableView`] of it.  Scoring is written once, over this trait, so both score
+/// bit-identically.
+trait Probe {
+    /// The direct evaluator behind the tables.
+    fn predictor(&self) -> &PredictionEvaluator;
+
+    /// The time of `component` (0 is the host, `i + 1` accelerator `i`) under `key`.
+    fn probe(&self, component: usize, key: TableKey) -> f64;
+
+    /// Host time plus one time per accelerator of `config`.
+    fn probe_times(&self, config: &SystemConfiguration) -> PredictedTimes {
+        self.predictor().assert_arity(config.accelerator_count());
+        let host = self.probe(0, host_key(config));
+        let devices = config
+            .devices()
+            .iter()
+            .enumerate()
+            .map(|(index, &device)| self.probe(index + 1, device_key(device)))
+            .collect();
+        (host, devices)
+    }
+
+    /// The energy of `config`, without collecting the per-device times.
+    fn probe_energy(&self, config: &SystemConfiguration) -> f64 {
+        self.predictor().assert_arity(config.accelerator_count());
+        let host = self.probe(0, host_key(config));
         let device = config
             .devices()
             .iter()
             .enumerate()
-            .map(|(index, &device)| self.device_time(index, device))
+            .map(|(index, &device)| self.probe(index + 1, device_key(device)))
             .fold(0.0, f64::max);
         host.max(device)
+    }
+
+    /// Re-score a move from `base`'s retained times, re-probing only the components
+    /// `touched` may cover.
+    fn probe_move(
+        &self,
+        base: &SystemConfiguration,
+        state: &PredictedTimes,
+        config: &SystemConfiguration,
+        touched: &Touched,
+    ) -> (f64, PredictedTimes) {
+        self.predictor().assert_arity(config.accelerator_count());
+        recompose_move(
+            base,
+            state,
+            config,
+            touched,
+            || self.probe(0, host_key(config)),
+            |index, device| self.probe(index + 1, device_key(device)),
+        )
+    }
+}
+
+impl Probe for TabulatedPredictionEvaluator<'_> {
+    fn predictor(&self) -> &PredictionEvaluator {
+        self.inner
+    }
+
+    fn probe(&self, component: usize, key: TableKey) -> f64 {
+        self.probe_entry(component, key).0
     }
 }
 
 impl Objective<SystemConfiguration> for TabulatedPredictionEvaluator<'_> {
     fn evaluate(&self, config: &SystemConfiguration) -> f64 {
-        self.energy(config)
+        self.probe_energy(config)
     }
 
     /// Batched scoring: table probes.  Deliberately sequential — a warm probe is
     /// ~ns and the enumeration drivers already spread batches over rayon workers, so
     /// fanning out *inside* the batch would only add thread overhead.
     fn evaluate_batch(&self, configs: &[SystemConfiguration]) -> Vec<f64> {
-        configs.iter().map(|config| self.energy(config)).collect()
+        configs
+            .iter()
+            .map(|config| self.probe_energy(config))
+            .collect()
     }
 }
 
@@ -730,7 +812,7 @@ impl DeltaObjective<SystemConfiguration> for TabulatedPredictionEvaluator<'_> {
     type State = PredictedTimes;
 
     fn evaluate_with_state(&self, config: &SystemConfiguration) -> (f64, PredictedTimes) {
-        compose(self.evaluate_all_times(config))
+        compose(self.probe_times(config))
     }
 
     fn evaluate_move(
@@ -740,15 +822,113 @@ impl DeltaObjective<SystemConfiguration> for TabulatedPredictionEvaluator<'_> {
         config: &SystemConfiguration,
         touched: &Touched,
     ) -> (f64, PredictedTimes) {
-        self.inner.assert_arity(config.accelerator_count());
-        recompose_move(
-            base,
-            state,
-            config,
-            touched,
-            || self.host_time(config),
-            |index, device| self.device_time(index, device),
-        )
+        self.probe_move(base, state, config, touched)
+    }
+}
+
+/// One run's view of a [`TabulatedPredictionEvaluator`], shared or private: it scores
+/// through the table and counts exactly what a private table started empty would
+/// count for the same run, whatever the table already held:
+///
+/// * every probe;
+/// * the first touch of each entry with a non-zero share — that private table's
+///   model walks;
+/// * the distinct entries touched — that private table's entries.
+///
+/// So a SAML/GAML run reports the same [`crate::MethodOutcome::cache`] and
+/// `{scope}.lazy.*` counters over a shared table as over its own.  A view serves one
+/// sequential walk; parallel runs each make their own view of the same table.
+pub(crate) struct TableView<'t> {
+    table: &'t TabulatedPredictionEvaluator<'t>,
+    probes: Cell<usize>,
+    model_walks: Cell<usize>,
+    entries: Cell<usize>,
+    /// Per component, a bitset over the table's entry indices: the entries this run
+    /// has touched.
+    touched: RefCell<Vec<Vec<u64>>>,
+}
+
+impl<'t> TableView<'t> {
+    /// A fresh view of `table`: nothing touched yet.
+    pub(crate) fn new(table: &'t TabulatedPredictionEvaluator<'t>) -> Self {
+        TableView {
+            table,
+            probes: Cell::new(0),
+            model_walks: Cell::new(0),
+            entries: Cell::new(0),
+            touched: RefCell::new(vec![Vec::new(); table.tables.len()]),
+        }
+    }
+
+    fn counters(&self) -> TableCounters {
+        TableCounters {
+            probes: self.probes.get(),
+            model_walks: self.model_walks.get(),
+            entries: self.entries.get(),
+        }
+    }
+
+    /// The run's counters, as [`TabulatedPredictionEvaluator::stats`] of a private
+    /// empty table would report them.
+    pub(crate) fn stats(&self) -> CacheStats {
+        self.counters().stats()
+    }
+
+    /// The run's counters as `{scope}.lazy.*`, as
+    /// [`TabulatedPredictionEvaluator::publish_stats`] of a private empty table would
+    /// publish them.
+    pub(crate) fn publish_stats(&self, recorder: &dyn wd_obs::Recorder, scope: &str) {
+        self.counters().publish(recorder, scope);
+    }
+}
+
+impl Probe for TableView<'_> {
+    fn predictor(&self) -> &PredictionEvaluator {
+        self.table.inner
+    }
+
+    fn probe(&self, component: usize, key: TableKey) -> f64 {
+        self.probes.set(self.probes.get() + 1);
+        let (time, index) = self.table.probe_entry(component, key);
+        let mut touched = self.touched.borrow_mut();
+        let words = &mut touched[component];
+        let (word, bit) = (index / 64, 1u64 << (index % 64));
+        if words.len() <= word {
+            words.resize(word + 1, 0);
+        }
+        if words[word] & bit == 0 {
+            words[word] |= bit;
+            self.entries.set(self.entries.get() + 1);
+            // a private table would walk the model here, unless the share is empty
+            if share_bytes(self.table.inner.workload.bytes, key.2) != 0 {
+                self.model_walks.set(self.model_walks.get() + 1);
+            }
+        }
+        time
+    }
+}
+
+impl Objective<SystemConfiguration> for TableView<'_> {
+    fn evaluate(&self, config: &SystemConfiguration) -> f64 {
+        self.probe_energy(config)
+    }
+}
+
+impl DeltaObjective<SystemConfiguration> for TableView<'_> {
+    type State = PredictedTimes;
+
+    fn evaluate_with_state(&self, config: &SystemConfiguration) -> (f64, PredictedTimes) {
+        compose(self.probe_times(config))
+    }
+
+    fn evaluate_move(
+        &self,
+        base: &SystemConfiguration,
+        state: &PredictedTimes,
+        config: &SystemConfiguration,
+        touched: &Touched,
+    ) -> (f64, PredictedTimes) {
+        self.probe_move(base, state, config, touched)
     }
 }
 
@@ -1033,6 +1213,63 @@ mod tests {
             lazy.energy(&outside).to_bits(),
             evaluator.energy(&outside).to_bits()
         );
+    }
+
+    #[test]
+    fn a_view_counts_what_a_private_table_counts() {
+        use wd_obs::Registry;
+        use wd_opt::{GeneticAlgorithm, SimulatedAnnealing};
+        static HOST_CALLS: AtomicUsize = AtomicUsize::new(0);
+        static DEVICE_CALLS: AtomicUsize = AtomicUsize::new(0);
+        let evaluator = counting_wavy_evaluator(&HOST_CALLS, &DEVICE_CALLS);
+        let space = crate::config::ConfigurationSpace::tiny();
+        let sa = SimulatedAnnealing::with_budget_and_range(300, 2.0, 0.02, 5);
+        let ga = GeneticAlgorithm::with_budget(200, 5);
+        // one SA walk and one GA walk, each through its own view
+        let walk = |[annealing, genetic]: &[TableView<'_>; 2]| {
+            (
+                sa.run_delta(&space, annealing),
+                ga.run_delta(&space, genetic),
+            )
+        };
+        let published = |publish: &dyn Fn(&Registry)| {
+            let registry = Registry::new();
+            publish(&registry);
+            registry.snapshot().counters
+        };
+        let counters = |views: &[TableView<'_>; 2]| {
+            views.each_ref().map(|view| {
+                let counters = published(&|registry| view.publish_stats(registry, "walk"));
+                (view.stats(), counters)
+            })
+        };
+
+        // over a fresh table, a view reports exactly that table's own counters
+        let fresh = [evaluator.lazy_tabulated(), evaluator.lazy_tabulated()];
+        let private_views = fresh.each_ref().map(TableView::new);
+        let private = walk(&private_views);
+        for (view, table) in private_views.iter().zip(&fresh) {
+            assert_eq!(view.stats(), table.stats());
+            assert_eq!(
+                published(&|registry| view.publish_stats(registry, "walk")),
+                published(&|registry| table.publish_stats(registry, "walk"))
+            );
+            assert!(view.stats().hits > 0 && view.stats().misses > 0);
+        }
+
+        // two views of one table prefilled with the space report the same numbers,
+        // score the same walks, and walk no further model
+        let prefilled = evaluator.tabulated(&space);
+        let rows = prefilled.model_queries();
+        let shared_views = [TableView::new(&prefilled), TableView::new(&prefilled)];
+        let shared = walk(&shared_views);
+        assert_eq!(counters(&shared_views), counters(&private_views));
+        assert_eq!(prefilled.model_queries(), rows);
+        for (a, b) in [(&shared.0, &private.0), (&shared.1, &private.1)] {
+            assert_eq!(a.best_config, b.best_config);
+            assert_eq!(a.best_energy.to_bits(), b.best_energy.to_bits());
+            assert_eq!(a.trace.records(), b.trace.records());
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! | paper artifact | entry point |
 //! |---|---|
 //! | Fig. 2a–c (motivation)            | [`motivation_experiment`] |
-//! | Figs. 5–8, Tables IV–V (accuracy) | [`TrainingCampaign::run`](crate::TrainingCampaign) via [`prediction_study`] |
+//! | Figs. 5–8, Tables IV–V (accuracy) | [`TrainingCampaign::run`](crate::TrainingCampaign) |
 //! | Fig. 9, Tables VI–VII             | [`ConvergenceStudy`] |
 //! | Tables VIII–IX (speedups)         | [`ConvergenceStudy::speedup_rows`] |
 
@@ -15,12 +15,13 @@ use hetero_platform::{
     Affinity, ExecutionConfig, ExecutionRequest, HeterogeneousPlatform, WorkloadProfile,
 };
 use rayon::prelude::*;
-use wd_ml::BoostingParams;
+use wd_obs::NoopRecorder;
+use wd_opt::Objective as _;
 
 use crate::config::{ConfigurationSpace, SystemConfiguration};
-use crate::evaluator::MeasurementEvaluator;
+use crate::evaluator::{MeasurementEvaluator, TabulatedPredictionEvaluator};
 use crate::methods::{MethodKind, MethodOutcome, MethodRunner};
-use crate::training::{TrainedModels, TrainingCampaign};
+use crate::training::TrainedModels;
 
 /// The iteration budgets reported in the paper's Tables VI–IX and Fig. 9.
 pub fn paper_iteration_budgets() -> Vec<usize> {
@@ -102,16 +103,6 @@ pub fn motivation_experiment(
         point.normalized = 1.0 + 9.0 * (point.seconds - min) / range;
     }
     points
-}
-
-/// Run the prediction study (the paper's Section IV-B): execute the training campaign
-/// and fit/evaluate the host and device models.
-pub fn prediction_study(
-    platform: &HeterogeneousPlatform,
-    campaign: &TrainingCampaign,
-    boosting: BoostingParams,
-) -> TrainedModels {
-    campaign.run(platform, boosting)
 }
 
 /// The three [`WorkloadProfile`] kinds at one input size: the paper's DNA scan plus
@@ -216,16 +207,14 @@ impl ConvergenceStudy {
             .iter()
             .map(|&genome| (genome.name().to_string(), Some(genome), genome.workload()))
             .collect();
-        Self::run_cases_scaled(
+        StudyPlan {
             platform,
-            models,
-            &cases,
             budgets,
-            seed,
             repeats,
-            &ConfigurationSpace::enumeration_grid(),
-            &ConfigurationSpace::paper(),
-        )
+            grid: &ConfigurationSpace::enumeration_grid(),
+            space: &ConfigurationSpace::paper(),
+        }
+        .run(models, &cases, seed)
     }
 
     /// Run the study over arbitrary workload profiles (ROADMAP "More workloads"): the
@@ -267,113 +256,14 @@ impl ConvergenceStudy {
             .iter()
             .map(|workload| (workload.name.clone(), None, workload.clone()))
             .collect();
-        Self::run_cases_scaled(
-            platform, models, &cases, budgets, seed, repeats, grid, space,
-        )
-    }
-
-    /// The study engine shared by the genome, workload and sharded drivers: EM/EML
-    /// through the default [`MethodRunner`] enumeration path.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn run_cases_scaled(
-        platform: &HeterogeneousPlatform,
-        models: &TrainedModels,
-        cases: &[(String, Option<Genome>, WorkloadProfile)],
-        budgets: &[usize],
-        seed: u64,
-        repeats: usize,
-        grid: &ConfigurationSpace,
-        space: &ConfigurationSpace,
-    ) -> Self {
-        let reference = |workload: &WorkloadProfile, case_seed: u64, method: MethodKind| {
-            MethodRunner::new(platform, workload, Some(models), case_seed)
-                .with_grid(grid.clone())
-                .with_space(space.clone())
-                .run(method, 0)
-                .expect("enumeration methods cannot fail with models present")
-        };
-        Self::run_cases(
-            platform, models, cases, budgets, seed, repeats, grid, space, &reference,
-        )
-    }
-
-    /// The innermost engine: the caller supplies how the enumeration references (EM
-    /// and EML) are produced — the sharded driver routes them through a
-    /// `wd_dist::ShardedCampaign` — while the annealing methods always run locally.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn run_cases(
-        platform: &HeterogeneousPlatform,
-        models: &TrainedModels,
-        cases: &[(String, Option<Genome>, WorkloadProfile)],
-        budgets: &[usize],
-        seed: u64,
-        repeats: usize,
-        grid: &ConfigurationSpace,
-        space: &ConfigurationSpace,
-        reference: &(dyn Fn(&WorkloadProfile, u64, MethodKind) -> MethodOutcome + Sync),
-    ) -> Self {
-        let repeats = repeats.max(1);
-
-        // run one method at every budget, `repeats` times in parallel (each annealing
-        // repeat has an independent seed, so repeats are order-independent), keeping
-        // the run with the median measured execution time
-        let run_annealer = |workload: &WorkloadProfile, method: MethodKind, case_seed: u64| {
-            budgets
-                .iter()
-                .map(|&budget| {
-                    let mut outcomes: Vec<MethodOutcome> = (0..repeats)
-                        .collect::<Vec<_>>()
-                        .into_par_iter()
-                        .map(|repeat| {
-                            let run_seed =
-                                case_seed ^ (repeat as u64).wrapping_mul(0xA076_1D64_78BD_642F);
-                            MethodRunner::new(platform, workload, Some(models), run_seed)
-                                .with_grid(grid.clone())
-                                .with_space(space.clone())
-                                .run(method, budget)
-                                .expect("annealing methods cannot fail with models present")
-                        })
-                        .collect();
-                    outcomes.sort_by(|a, b| a.measured_energy.total_cmp(&b.measured_energy));
-                    (budget, outcomes.swap_remove(outcomes.len() / 2))
-                })
-                .collect::<Vec<_>>()
-        };
-
-        let cases = cases
-            .iter()
-            .map(|(label, genome, workload)| {
-                let case_seed = seed ^ label_seed(label);
-                let em = reference(workload, case_seed, MethodKind::Em);
-                let eml = reference(workload, case_seed, MethodKind::Eml);
-                let sam = run_annealer(workload, MethodKind::Sam, case_seed);
-                let saml = run_annealer(workload, MethodKind::Saml, case_seed);
-                let gaml = run_annealer(workload, MethodKind::Gaml, case_seed);
-                let measurement = MeasurementEvaluator::new(platform.clone(), workload.clone());
-                use wd_opt::Objective as _;
-                let accelerators = platform.accelerator_count();
-                let baselines = measurement.evaluate_batch(&[
-                    SystemConfiguration::host_only_baseline_for(accelerators),
-                    SystemConfiguration::device_only_baseline_for(accelerators),
-                ]);
-                CaseConvergence {
-                    label: label.clone(),
-                    genome: *genome,
-                    workload: workload.clone(),
-                    em,
-                    eml,
-                    sam,
-                    saml,
-                    gaml,
-                    host_only_seconds: baselines[0],
-                    device_only_seconds: baselines[1],
-                }
-            })
-            .collect();
-        ConvergenceStudy {
-            budgets: budgets.to_vec(),
-            cases,
+        StudyPlan {
+            platform,
+            budgets,
+            repeats,
+            grid,
+            space,
         }
+        .run(models, &cases, seed)
     }
 
     /// Table VI: percent difference between the SAML configuration at each budget and
@@ -479,10 +369,129 @@ pub struct Figure9Series {
     pub eml: f64,
 }
 
+/// What every case of a study shares: the study engine behind the genome and
+/// workload drivers.
+struct StudyPlan<'a> {
+    platform: &'a HeterogeneousPlatform,
+    budgets: &'a [usize],
+    /// Runs per annealing budget (0 runs once).
+    repeats: usize,
+    grid: &'a ConfigurationSpace,
+    space: &'a ConfigurationSpace,
+}
+
+impl StudyPlan<'_> {
+    /// Run the study over `cases` (label, genome, workload).  Each case builds one
+    /// prediction table for its workload, prefilled with the annealing space; EML
+    /// prefills its grid into the same table, and every SAML and GAML run — the
+    /// parallel repeats included — walks it through its own view.  So each
+    /// per-device row is walked once per case, and every outcome is bit-identical
+    /// to a standalone [`MethodRunner`] run with the same seed.
+    fn run(
+        &self,
+        models: &TrainedModels,
+        cases: &[(String, Option<Genome>, WorkloadProfile)],
+        seed: u64,
+    ) -> ConvergenceStudy {
+        let cases = cases
+            .iter()
+            .map(|(label, genome, workload)| {
+                let prediction = models.prediction_evaluator(workload.clone());
+                let table = prediction.tabulated(self.space);
+                self.case(label, *genome, workload, seed ^ label_seed(label), &table)
+            })
+            .collect();
+        ConvergenceStudy {
+            budgets: self.budgets.to_vec(),
+            cases,
+        }
+    }
+
+    /// One case over `table`, which must hold `workload`'s predictions: EM and EML
+    /// once, then SAM, SAML and GAML at every budget.
+    fn case(
+        &self,
+        label: &str,
+        genome: Option<Genome>,
+        workload: &WorkloadProfile,
+        case_seed: u64,
+        table: &TabulatedPredictionEvaluator<'_>,
+    ) -> CaseConvergence {
+        let runner = |seed: u64| {
+            MethodRunner::new(self.platform, workload, None, seed)
+                .with_grid(self.grid.clone())
+                .with_space(self.space.clone())
+        };
+        let em = runner(case_seed).run_measured(MethodKind::Em, 0, &NoopRecorder);
+        let eml = runner(case_seed).run_predicted(MethodKind::Eml, 0, table, &NoopRecorder);
+        let sam = self.repeated(case_seed, |seed, budget| {
+            runner(seed).run_measured(MethodKind::Sam, budget, &NoopRecorder)
+        });
+        let saml = self.repeated(case_seed, |seed, budget| {
+            runner(seed).run_predicted(MethodKind::Saml, budget, table, &NoopRecorder)
+        });
+        let gaml = self.repeated(case_seed, |seed, budget| {
+            runner(seed).run_predicted(MethodKind::Gaml, budget, table, &NoopRecorder)
+        });
+        let measurement = MeasurementEvaluator::new(self.platform.clone(), workload.clone());
+        let accelerators = self.platform.accelerator_count();
+        let baselines = measurement.evaluate_batch(&[
+            SystemConfiguration::host_only_baseline_for(accelerators),
+            SystemConfiguration::device_only_baseline_for(accelerators),
+        ]);
+        CaseConvergence {
+            label: label.to_string(),
+            genome,
+            workload: workload.clone(),
+            em,
+            eml,
+            sam,
+            saml,
+            gaml,
+            host_only_seconds: baselines[0],
+            device_only_seconds: baselines[1],
+        }
+    }
+
+    /// `run(seed, budget)` at every budget, `repeats` times in parallel (each repeat
+    /// has an independent seed, so repeats are order-independent), keeping the run
+    /// with the median measured execution time.
+    fn repeated(
+        &self,
+        case_seed: u64,
+        run: impl Fn(u64, usize) -> MethodOutcome + Sync,
+    ) -> Vec<(usize, MethodOutcome)> {
+        self.budgets
+            .iter()
+            .map(|&budget| {
+                let outcomes: Vec<MethodOutcome> = (0..self.repeats.max(1))
+                    .collect::<Vec<_>>()
+                    .into_par_iter()
+                    .map(|repeat| run(repeat_seed(case_seed, repeat), budget))
+                    .collect();
+                (budget, median(outcomes))
+            })
+            .collect()
+    }
+}
+
+/// The seed of annealing repeat `repeat` of the case seeded `case_seed`.
+fn repeat_seed(case_seed: u64, repeat: usize) -> u64 {
+    case_seed ^ (repeat as u64).wrapping_mul(0xA076_1D64_78BD_642F)
+}
+
+/// The run with the median measured execution time of a non-empty set of repeats.
+fn median(mut outcomes: Vec<MethodOutcome>) -> MethodOutcome {
+    outcomes.sort_by(|a, b| a.measured_energy.total_cmp(&b.measured_energy));
+    outcomes.swap_remove(outcomes.len() / 2)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::ConfigurationSpace;
+    use crate::training::TrainingCampaign;
+    use wd_ml::BoostingParams;
 
     fn platform() -> HeterogeneousPlatform {
         HeterogeneousPlatform::emil()
@@ -623,15 +632,17 @@ mod tests {
         let models = TrainingCampaign::reduced().run(&platform, BoostingParams::fast());
         let tiny = ConfigurationSpace::tiny();
         let (seed, budget) = (11u64, 120usize);
-        let study = ConvergenceStudy::run_cases_scaled(
-            &platform,
+        let study = StudyPlan {
+            platform: &platform,
+            budgets: &[budget],
+            repeats: 1,
+            grid: &tiny,
+            space: &tiny,
+        }
+        .run(
             &models,
             &[("cat".to_string(), Some(Genome::Cat), Genome::Cat.workload())],
-            &[budget],
             seed,
-            1,
-            &tiny,
-            &tiny,
         );
         let case = &study.cases[0];
         assert_eq!(case.gaml.len(), 1);
@@ -662,6 +673,148 @@ mod tests {
         let series = study.case_series("cat").unwrap();
         assert_eq!(series.gaml, vec![gaml.measured_energy]);
         assert_eq!(series.saml.len(), series.gaml.len());
+    }
+
+    /// Assert that two outcomes agree bit for bit.
+    fn assert_same(a: &MethodOutcome, b: &MethodOutcome, cell: &str) {
+        assert_eq!(a.method, b.method, "{cell}");
+        assert_eq!(a.best_config, b.best_config, "{cell}");
+        assert_eq!(
+            a.search_energy.to_bits(),
+            b.search_energy.to_bits(),
+            "{cell}"
+        );
+        assert_eq!(
+            a.measured_energy.to_bits(),
+            b.measured_energy.to_bits(),
+            "{cell}"
+        );
+        assert_eq!(a.evaluations, b.evaluations, "{cell}");
+        assert_eq!(a.cache, b.cache, "{cell}");
+        assert_eq!(a.trace.records(), b.trace.records(), "{cell}");
+        assert_eq!(a.stats, b.stats, "{cell}");
+    }
+
+    #[test]
+    fn shared_table_cells_match_standalone_runs_bit_for_bit() {
+        let (seed, budgets, repeats) = (5u64, [60usize, 150], 3);
+        for (platform, space) in [
+            (platform(), ConfigurationSpace::tiny()),
+            (
+                HeterogeneousPlatform::emil_with_gpu(),
+                ConfigurationSpace::tiny_multi(),
+            ),
+        ] {
+            let models =
+                TrainingCampaign::reduced_for(&platform).run(&platform, BoostingParams::fast());
+            let workload = Genome::Dog.workload();
+            let study = ConvergenceStudy::run_workloads_scaled(
+                &platform,
+                &models,
+                std::slice::from_ref(&workload),
+                &budgets,
+                seed,
+                repeats,
+                &space,
+                &space,
+            );
+            let case = &study.cases[0];
+            let case_seed = seed ^ label_seed(&workload.name);
+            let standalone = |method: MethodKind, seed: u64, budget: usize| {
+                MethodRunner::new(&platform, &workload, Some(&models), seed)
+                    .with_grid(space.clone())
+                    .with_space(space.clone())
+                    .run(method, budget)
+                    .unwrap()
+            };
+            assert_same(&case.eml, &standalone(MethodKind::Eml, case_seed, 0), "EML");
+            // the repeats of a budget ran in parallel over the case's one table; the
+            // kept cell is the median of the same repeats run standalone
+            for (method, cells) in [
+                (MethodKind::Saml, &case.saml),
+                (MethodKind::Gaml, &case.gaml),
+            ] {
+                assert_eq!(cells.len(), budgets.len());
+                for (budget, cell) in cells {
+                    let runs = (0..repeats)
+                        .map(|repeat| standalone(method, repeat_seed(case_seed, repeat), *budget))
+                        .collect();
+                    assert_same(cell, &median(runs), &format!("{method} at {budget}"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_case_walks_each_table_row_at_most_once() {
+        let platform = platform();
+        let models = TrainingCampaign::reduced().run(&platform, BoostingParams::fast());
+        let workload = Genome::Cat.workload();
+        let space = ConfigurationSpace::tiny();
+        // a grid whose axes only partly overlap the annealing space's
+        let grid = ConfigurationSpace::two_way(
+            vec![4, 12, 48],
+            vec![Affinity::Scatter],
+            vec![60, 240],
+            vec![Affinity::Balanced],
+            (0..=8).map(|step| step * 125).collect(),
+        );
+        let prediction = models.prediction_evaluator(workload.clone());
+        let table = prediction.tabulated(&space);
+        let plan = StudyPlan {
+            platform: &platform,
+            budgets: &[80, 200],
+            repeats: 3,
+            grid: &grid,
+            space: &space,
+        };
+        let case = plan.case("cat", Some(Genome::Cat), &workload, 9, &table);
+
+        // every non-zero-share row of the space and the grid, per component
+        let mut rows = std::collections::HashSet::new();
+        for axes in [&space, &grid] {
+            let components = std::iter::once((&axes.host_threads, &axes.host_affinities)).chain(
+                axes.device_axes
+                    .iter()
+                    .map(|axis| (&axis.threads, &axis.affinities)),
+            );
+            for (component, (threads, affinities)) in components.enumerate() {
+                for split in &axes.splits {
+                    for &t in threads {
+                        for &a in affinities {
+                            if split[component] != 0 {
+                                rows.insert((component, t, a, split[component]));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(table.model_queries(), rows.len());
+        // every walk, kept or not, read the shared table: its probes are EML's scan
+        // (host + device per configuration) plus each repeat's own probes, which
+        // a standalone run of the same seed reports
+        let walk_probes: usize = [MethodKind::Saml, MethodKind::Gaml]
+            .into_iter()
+            .flat_map(|method| plan.budgets.iter().map(move |&budget| (method, budget)))
+            .flat_map(|(method, budget)| (0..plan.repeats).map(move |r| (method, budget, r)))
+            .map(|(method, budget, repeat)| {
+                MethodRunner::new(&platform, &workload, Some(&models), repeat_seed(9, repeat))
+                    .with_grid(grid.clone())
+                    .with_space(space.clone())
+                    .run(method, budget)
+                    .unwrap()
+                    .cache
+                    .requests()
+            })
+            .sum();
+        assert_eq!(table.probes(), 2 * case.eml.evaluations + walk_probes);
+        // and each run still reports what a private table would have walked for it
+        assert!(case
+            .saml
+            .iter()
+            .chain(&case.gaml)
+            .all(|(_, outcome)| outcome.cache.misses > 0));
     }
 
     #[test]

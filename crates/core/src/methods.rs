@@ -10,7 +10,7 @@ use wd_opt::{
 };
 
 use crate::config::{ConfigurationSpace, SystemConfiguration};
-use crate::evaluator::MeasurementEvaluator;
+use crate::evaluator::{MeasurementEvaluator, TableView, TabulatedPredictionEvaluator};
 use crate::training::TrainedModels;
 
 /// One of the paper's optimization methods.
@@ -149,9 +149,12 @@ pub struct MethodOutcome {
     ///   is the number of distinct configurations evaluated — the paper's "number of
     ///   experiments";
     /// * SAML/GAML memoize per-device table entries
-    ///   ([`crate::TabulatedPredictionEvaluator::stats`]): `misses` is the number of
-    ///   boosted-tree model walks, `hits` every per-device probe answered without
-    ///   one.
+    ///   ([`crate::TabulatedPredictionEvaluator`]), and their counters are per run:
+    ///   `misses` is the number of distinct non-zero-share entries the run touched —
+    ///   the boosted-tree model walks a private table would make for it — and `hits`
+    ///   every other per-device probe.  A run over a shared table
+    ///   ([`MethodRunner::with_table`]) reports the same numbers, although rows that
+    ///   earlier runs filled cost it no model walk.
     pub cache: CacheStats,
     /// Execution breakdown of the final re-measurement behind
     /// [`MethodOutcome::measured_energy`] — bytes, threads, rates and the
@@ -164,11 +167,26 @@ pub struct MethodOutcome {
 
 impl MethodOutcome {
     /// The method's real evaluation cost (cache misses): distinct configurations
-    /// scored for EM/EML/SAM, boosted-tree model walks for SAML/GAML (see
+    /// scored for EM/EML/SAM, the model walks of a private table for SAML/GAML (see
     /// [`MethodOutcome::cache`]).
     pub fn experiments(&self) -> usize {
         self.cache.misses
     }
+}
+
+/// An enumeration's outcome with its counters, published: every configuration of
+/// the grid is evaluated exactly once.
+fn enumerated(
+    outcome: Outcome<SystemConfiguration>,
+    recorder: &dyn Recorder,
+    scope: &str,
+) -> (Outcome<SystemConfiguration>, CacheStats) {
+    let cache = CacheStats {
+        hits: 0,
+        misses: outcome.evaluations,
+    };
+    cache.publish(recorder, scope);
+    (outcome, cache)
 }
 
 /// Runs the paper's methods on one workload.
@@ -178,13 +196,15 @@ pub struct MethodRunner<'a> {
     space: ConfigurationSpace,
     grid: ConfigurationSpace,
     models: Option<&'a TrainedModels>,
+    table: Option<&'a TabulatedPredictionEvaluator<'a>>,
     seed: u64,
 }
 
 impl<'a> MethodRunner<'a> {
     /// Create a runner with the paper's search space and enumeration grid.
     ///
-    /// `models` may be `None` if only the measurement-based methods (EM, SAM) are used.
+    /// `models` may be `None` if only the measurement-based methods (EM, SAM) are used,
+    /// or if a prediction table is lent with [`MethodRunner::with_table`].
     pub fn new(
         platform: &'a HeterogeneousPlatform,
         workload: &'a WorkloadProfile,
@@ -197,6 +217,7 @@ impl<'a> MethodRunner<'a> {
             space: ConfigurationSpace::paper(),
             grid: ConfigurationSpace::enumeration_grid(),
             models,
+            table: None,
             seed,
         }
     }
@@ -213,6 +234,17 @@ impl<'a> MethodRunner<'a> {
         self
     }
 
+    /// Lend the prediction methods (EML, SAML, GAML) a shared prediction table for
+    /// this runner's workload, instead of a private one per run.  EML prefills its
+    /// grid into it; SAML and GAML walk it through a per-run view, so their outcomes
+    /// — `cache` counters included — are bit-identical to a run over a private
+    /// table, while rows that earlier runs already walked cost no model query.
+    /// The table's models take the place of the runner's `models`.
+    pub fn with_table(mut self, table: &'a TabulatedPredictionEvaluator<'a>) -> Self {
+        self.table = Some(table);
+        self
+    }
+
     /// The enumeration grid used by EM/EML.
     pub fn grid(&self) -> &ConfigurationSpace {
         &self.grid
@@ -226,22 +258,27 @@ impl<'a> MethodRunner<'a> {
     /// * EM and EML enumerate the grid through the batched [`ParallelEnumeration`]
     ///   path on the bare evaluator — an enumeration never repeats a configuration,
     ///   so there is nothing to cache; EML scores the grid from per-device time
-    ///   tables prefilled up front ([`crate::PredictionEvaluator::tabulated`]);
+    ///   tables prefilled up front ([`TabulatedPredictionEvaluator::prefill`]);
     /// * SAM runs behind a [`CachedObjective`], since its walk revisits
     ///   configurations;
     /// * SAML and GAML run the incremental path
     ///   ([`wd_opt::SimulatedAnnealing::run_delta`],
     ///   [`wd_opt::GeneticAlgorithm::run_delta`]) over per-device tables that fill on
-    ///   first touch ([`crate::PredictionEvaluator::lazy_tabulated`]): each move
-    ///   re-scores only the devices it touched, and each distinct
-    ///   `(threads, affinity, share)` triple queries the boosted-tree model exactly
-    ///   once — bit-identical to a walk over the direct prediction evaluator.
+    ///   first touch: each move re-scores only the devices it touched, and each
+    ///   distinct `(threads, affinity, share)` triple queries the boosted-tree model
+    ///   at most once — bit-identical to a walk over the direct prediction evaluator.
+    ///
+    /// The prediction methods use the table lent by [`MethodRunner::with_table`], or
+    /// else a private one built from the runner's models
+    /// ([`crate::PredictionEvaluator::lazy_tabulated`]).  A SAML/GAML walk reads
+    /// either through the same per-run view, which counts what a private table would
+    /// count, so the outcome does not depend on whether the table was shared.
     ///
     /// The resulting hit/miss counters are surfaced on the [`MethodOutcome`]; note
     /// their granularity differs per path (see [`MethodOutcome::cache`]).
     ///
     /// Returns an error message if a prediction-based method is requested without
-    /// trained models.
+    /// trained models or a table, or with a table built for another workload.
     pub fn run(&self, method: MethodKind, iterations: usize) -> Result<MethodOutcome, String> {
         self.run_observed(method, iterations, &NoopRecorder)
     }
@@ -254,7 +291,7 @@ impl<'a> MethodRunner<'a> {
     /// [`ExecutionStats`] of the final re-measurement, and one `{method}.run` span
     /// carrying wall-clock seconds, iterations, evaluations and energies.
     ///
-    /// The recorder only observes: counters are read post-hoc from the same atomics
+    /// The recorder only observes: counters are read post-hoc from the same counters
     /// the unobserved path maintains, and iteration events are emitted strictly after
     /// each trace record, so outcomes are bit-identical to [`MethodRunner::run`].
     pub fn run_observed(
@@ -263,77 +300,98 @@ impl<'a> MethodRunner<'a> {
         iterations: usize,
         recorder: &dyn Recorder,
     ) -> Result<MethodOutcome, String> {
-        let started = Instant::now();
-        let scope = method.name().to_ascii_lowercase();
-        let measurement = MeasurementEvaluator::new(self.platform.clone(), self.workload.clone());
-        let (outcome, cache) = match method {
-            MethodKind::Em | MethodKind::Eml => {
-                let outcome = if method.uses_prediction() {
-                    // EML fast path: the energy is separable per device, so the whole
-                    // grid is scored from prefilled per-device time tables
-                    // (Σ axis sizes model queries instead of |grid| × (N + 1)) —
-                    // bit-identical to enumerating through the models directly.
-                    let prediction = self
-                        .require_models(method)?
-                        .prediction_evaluator(self.workload.clone());
-                    ParallelEnumeration::new().run(&self.grid, &prediction.tabulated(&self.grid))
-                } else {
-                    ParallelEnumeration::new().run(&self.grid, &measurement)
-                };
-                // every configuration of the grid is evaluated exactly once
-                let cache = CacheStats {
-                    hits: 0,
-                    misses: outcome.evaluations,
-                };
-                cache.publish(recorder, &scope);
-                (outcome, cache)
+        if !method.uses_prediction() {
+            return Ok(self.run_measured(method, iterations, recorder));
+        }
+        if let Some(table) = self.table {
+            if table.inner().workload() != self.workload {
+                return Err(format!(
+                    "{method} was lent a prediction table for workload `{}`, not `{}`",
+                    table.inner().workload().name,
+                    self.workload.name
+                ));
             }
-            MethodKind::Sam => {
-                let cached = CachedObjective::new(&measurement);
+            return Ok(self.run_predicted(method, iterations, table, recorder));
+        }
+        let prediction = self
+            .models
+            .ok_or_else(|| {
+                format!(
+                    "{method} requires trained prediction models; run the training campaign first"
+                )
+            })?
+            .prediction_evaluator(self.workload.clone());
+        Ok(self.run_predicted(method, iterations, &prediction.lazy_tabulated(), recorder))
+    }
+
+    /// Run a measured method: EM if `method` enumerates, SAM otherwise.
+    pub(crate) fn run_measured(
+        &self,
+        method: MethodKind,
+        iterations: usize,
+        recorder: &dyn Recorder,
+    ) -> MethodOutcome {
+        self.timed(method, recorder, |measurement, scope| {
+            if method.uses_enumeration() {
+                enumerated(
+                    ParallelEnumeration::new().run(&self.grid, measurement),
+                    recorder,
+                    scope,
+                )
+            } else {
+                let cached = CachedObjective::new(measurement);
                 let outcome =
                     self.annealer(iterations)
-                        .run_observed(&self.space, &cached, recorder, &scope);
-                cached.publish_stats(recorder, &scope);
+                        .run_observed(&self.space, &cached, recorder, scope);
+                cached.publish_stats(recorder, scope);
                 (outcome, cached.stats())
             }
-            MethodKind::Saml | MethodKind::Gaml => {
-                // SAML/GAML fast path: lazily filled per-device tables + incremental
-                // (delta) re-scoring of each neighbour move (SAML) or each
-                // recombination's two-parent merge footprint (GAML).  Bit-identical to
-                // the classic direct walk: same RNG stream, same accepted moves, same
-                // energies — only the model cost drops.
-                let prediction = self
-                    .require_models(method)?
-                    .prediction_evaluator(self.workload.clone());
-                let lazy = prediction.lazy_tabulated();
+        })
+    }
+
+    /// Run a predicted method over `table`, which must hold this runner's workload:
+    /// EML if `method` enumerates, else GAML or SAML.
+    pub(crate) fn run_predicted(
+        &self,
+        method: MethodKind,
+        iterations: usize,
+        table: &TabulatedPredictionEvaluator<'_>,
+        recorder: &dyn Recorder,
+    ) -> MethodOutcome {
+        self.timed(method, recorder, |_, scope| {
+            if method.uses_enumeration() {
+                // EML fast path: the energy is separable per device, so the whole
+                // grid is scored from prefilled per-device time tables
+                // (Σ axis sizes model queries instead of |grid| × (N + 1)) —
+                // bit-identical to enumerating through the models directly.
+                table.prefill(&self.grid);
+                enumerated(
+                    ParallelEnumeration::new().run(&self.grid, table),
+                    recorder,
+                    scope,
+                )
+            } else {
+                // SAML/GAML fast path: per-device tables + incremental (delta)
+                // re-scoring of each neighbour move (SAML) or each recombination's
+                // two-parent merge footprint (GAML).  Bit-identical to the classic
+                // direct walk: same RNG stream, same accepted moves, same energies —
+                // only the model cost drops.
+                let view = TableView::new(table);
                 let outcome = if method == MethodKind::Gaml {
-                    self.genetic(iterations).run_delta_observed(
-                        &self.space,
-                        &lazy,
-                        recorder,
-                        &scope,
-                    )
+                    self.genetic(iterations)
+                        .run_delta_observed(&self.space, &view, recorder, scope)
                 } else {
                     self.annealer(iterations).run_delta_observed(
                         &self.space,
-                        &lazy,
+                        &view,
                         recorder,
-                        &scope,
+                        scope,
                     )
                 };
-                lazy.publish_stats(recorder, &scope);
-                (outcome, lazy.stats())
+                view.publish_stats(recorder, scope);
+                (outcome, view.stats())
             }
-        };
-        Ok(self.finish(
-            method,
-            outcome,
-            cache,
-            &measurement,
-            recorder,
-            &scope,
-            started,
-        ))
+        })
     }
 
     fn genetic(&self, iterations: usize) -> GeneticAlgorithm {
@@ -352,27 +410,22 @@ impl<'a> MethodRunner<'a> {
         SimulatedAnnealing::with_budget_and_range(iterations.max(8), 2.0, 0.02, seed)
     }
 
-    fn require_models(&self, method: MethodKind) -> Result<&TrainedModels, String> {
-        self.models.ok_or_else(|| {
-            format!("{method} requires trained prediction models; run the training campaign first")
-        })
-    }
-
-    #[allow(clippy::too_many_arguments)] // internal plumbing shared by run/run_observed
-    fn finish(
+    /// Run `search` (which returns the search outcome and its evaluation counters),
+    /// re-measure the suggested configuration and publish the run's telemetry.
+    fn timed(
         &self,
         method: MethodKind,
-        outcome: Outcome<SystemConfiguration>,
-        cache: CacheStats,
-        measurement: &MeasurementEvaluator,
         recorder: &dyn Recorder,
-        scope: &str,
-        started: Instant,
+        search: impl FnOnce(&MeasurementEvaluator, &str) -> (Outcome<SystemConfiguration>, CacheStats),
     ) -> MethodOutcome {
+        let started = Instant::now();
+        let scope = method.name().to_ascii_lowercase();
+        let measurement = MeasurementEvaluator::new(self.platform.clone(), self.workload.clone());
+        let (outcome, cache) = search(&measurement, &scope);
         let measured = measurement.measure(&outcome.best_config);
         let measured_energy = measured.t_host.max(measured.t_device);
         if recorder.enabled() {
-            measured.stats.publish(recorder, scope);
+            measured.stats.publish(recorder, &scope);
             recorder.span(
                 &format!("{scope}.run"),
                 started.elapsed().as_secs_f64(),

@@ -12,6 +12,8 @@
 //!   the campaign's chunk size);
 //! * EML through the `MethodRunner` (which now takes the fast path internally) is
 //!   bit-identical to enumerating the direct prediction evaluator by hand.
+//! * a table lent to `MethodRunner::with_table` changes no EML, SAML or GAML
+//!   outcome, per-run `cache` counters included, and walks each row once.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -265,4 +267,68 @@ fn eml_through_the_method_runner_takes_the_fast_path_bit_identically() {
     assert_eq!(eml.cache.misses as u128, grid.total_configurations());
     // uncached EML reports exactly what the never-hitting cache counted
     assert_eq!(eml.cache, cached.stats());
+}
+
+#[test]
+fn a_lent_table_changes_no_method_outcome() {
+    let platform = HeterogeneousPlatform::emil_with_gpu();
+    let models = TrainingCampaign::reduced_for(&platform).run(&platform, BoostingParams::fast());
+    let workload = WorkloadProfile::dna_scan("human", 3_170_000_000);
+    let space = ConfigurationSpace::tiny_multi();
+    let prediction = models.prediction_evaluator(workload.clone());
+    let table = prediction.tabulated(&space);
+    let runner = |seed| {
+        MethodRunner::new(&platform, &workload, Some(&models), seed)
+            .with_grid(space.clone())
+            .with_space(space.clone())
+    };
+
+    // EML, SAML and GAML over one lent table, each against a run over its own table
+    for (method, budget) in [
+        (MethodKind::Eml, 0),
+        (MethodKind::Saml, 300),
+        (MethodKind::Gaml, 120),
+        (MethodKind::Saml, 500),
+    ] {
+        let own = runner(budget as u64).run(method, budget).unwrap();
+        let lent = runner(budget as u64)
+            .with_table(&table)
+            .run(method, budget)
+            .unwrap();
+        assert_eq!(lent.best_config, own.best_config, "{method}");
+        assert_eq!(lent.search_energy.to_bits(), own.search_energy.to_bits());
+        assert_eq!(
+            lent.measured_energy.to_bits(),
+            own.measured_energy.to_bits()
+        );
+        assert_eq!(lent.evaluations, own.evaluations);
+        assert_eq!(lent.cache, own.cache, "{method}: per-run counters");
+        assert_eq!(lent.trace.records(), own.trace.records());
+    }
+    // the walks stayed inside the prefilled space: the table walked each row once
+    let axis_rows: usize = std::iter::once(space.host_threads.len() * space.host_affinities.len())
+        .chain(
+            space
+                .device_axes
+                .iter()
+                .map(|axis| axis.threads.len() * axis.affinities.len()),
+        )
+        .enumerate()
+        .map(|(component, settings)| {
+            let mut shares: Vec<u32> = space.splits.iter().map(|s| s[component]).collect();
+            shares.sort_unstable();
+            shares.dedup();
+            settings * shares.iter().filter(|&&share| share != 0).count()
+        })
+        .sum();
+    assert_eq!(table.model_queries(), axis_rows);
+
+    // a table built for another workload is refused, not silently misused
+    let other = WorkloadProfile::dna_scan("cat", 2_430_000_000);
+    let other_prediction = models.prediction_evaluator(other);
+    let other_table = other_prediction.lazy_tabulated();
+    assert!(runner(1)
+        .with_table(&other_table)
+        .run(MethodKind::Saml, 50)
+        .is_err());
 }
